@@ -730,5 +730,65 @@ TEST(IwarpFaults, EngineInjectorDrivesGoBackN) {
   EXPECT_GT(cluster.rnic(0).retransmits(), 0u);
 }
 
+TEST(IwarpFaults, RetryExhaustionWithPendingReadFlushesCompletion) {
+  // iWARP twin of the IB pending-read regression: the read request and
+  // its ack get through, every copy of the read response is lost, the
+  // responder's TCP gives up, and the reset must reach the requester,
+  // which flushes the stranded read with kRetryExceeded.
+  core::NetworkProfile profile = core::iwarp_profile();
+  profile.rnic.rto = us(20);
+  profile.rnic.retry_limit = 3;
+  core::Cluster cluster(2, profile);
+
+  // Frame order for a single-segment read: f1 = request (0->1); f2 = the
+  // responder's immediate pure ack (the request is the last segment of
+  // its message, so the ack is not delayed); f3 = response (1->0). The
+  // requester sends nothing afterwards (it receives no data, so it owes
+  // no acks), so f4.. are the response's go-back-N retransmits.
+  FaultPlan plan;
+  for (std::uint64_t n = 3; n <= 12; ++n) plan.nth_frame(n, FaultAction::kDrop);
+  cluster.engine().set_fault_injector(&plan);
+
+  const std::uint32_t len = 1024;  // below the MSS: exactly one response segment
+  auto& sink = cluster.node(0).mem().alloc(len, false);
+  auto& source = cluster.node(1).mem().alloc(len, false);
+
+  IbRun out;
+  verbs::CompletionQueue scq(cluster.engine());
+  verbs::CompletionQueue rcq(cluster.engine());
+  std::vector<std::unique_ptr<verbs::QueuePair>> qps;
+  cluster.engine().spawn([](core::Cluster& c, verbs::CompletionQueue& send_cq,
+                            verbs::CompletionQueue& recv_cq,
+                            std::vector<std::unique_ptr<verbs::QueuePair>>& pairs, std::uint64_t s,
+                            std::uint64_t d, std::uint32_t n, IbRun& result) -> Task<> {
+    pairs.push_back(c.device(0).create_qp(send_cq, send_cq));
+    pairs.push_back(c.device(1).create_qp(recv_cq, recv_cq));
+    c.device(0).establish(*pairs[0], *pairs[1]);
+    auto lkey = co_await c.device(0).reg_mr(d, n);
+    auto rkey = co_await c.device(1).reg_mr(s, n);
+    co_await pairs[0]->post_send(verbs::SendWr{.wr_id = 1,
+                                               .opcode = verbs::Opcode::kRdmaRead,
+                                               .sge = {d, n, lkey},
+                                               .remote_addr = s,
+                                               .rkey = rkey});
+    result.send_completion = co_await verbs::next_completion(send_cq, c.node(0).cpu(), ns(200));
+    result.got_send = true;
+  }(cluster, scq, rcq, qps, source.addr(), sink.addr(), len, out));
+  cluster.engine().run();
+
+  ASSERT_TRUE(out.got_send) << "the stranded read must complete, not hang";
+  EXPECT_EQ(out.send_completion.status, verbs::Completion::Status::kRetryExceeded);
+  EXPECT_EQ(out.send_completion.wr_id, 1u);
+  EXPECT_EQ(out.send_completion.type, verbs::Completion::Type::kRdmaRead);
+  ASSERT_EQ(qps.size(), 2u);
+  EXPECT_TRUE(qps[0]->in_error()) << "the reset must move the requester QP to error";
+  EXPECT_TRUE(qps[1]->in_error()) << "the responder QP errors on retry exhaustion";
+  EXPECT_EQ(cluster.rnic(0).retry_exceeded_completions(), 1u)
+      << "the flushed read is accounted under kRetryExceeded";
+  EXPECT_EQ(cluster.rnic(1).retry_exceeded_completions(), 0u)
+      << "the responder owns no work request for the read";
+  EXPECT_GE(plan.frames_dropped(), 4u) << "the response and its retransmits were dropped";
+}
+
 }  // namespace
 }  // namespace fabsim
