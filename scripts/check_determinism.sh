@@ -8,14 +8,34 @@
 # sim.digest (the engine's FNV-1a fold over every (time, seq) event it
 # dispatched) for every cluster the benches fingerprinted.
 #
-# Usage: scripts/check_determinism.sh [build-dir]   (default: build)
+# Cross-build mode: with a second build directory (say, a build of the
+# parent commit), round 1 runs the baseline's benches and round 2 the
+# candidate's, so the same diff proves a refactor left every report and
+# every digest byte-identical to the code it replaced.
+#
+# Usage: scripts/check_determinism.sh [build-dir] [baseline-build-dir]
+#        (paths relative to the repository root; default build-dir: build;
+#        the baseline must already be built)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 build="${1:-build}"
+baseline="${2:-}"
 if [[ ! -d "$build/bench" ]]; then
   cmake -B "$build" -G Ninja
   cmake --build "$build"
+fi
+if [[ -n "$baseline" && ! -d "$baseline/bench" ]]; then
+  echo "baseline build directory $baseline has no bench/ (build it first)" >&2
+  exit 2
+fi
+build="$(cd "$build" && pwd)"
+round1="$build"
+mismatch="NON-DETERMINISTIC"
+if [[ -n "$baseline" ]]; then
+  mismatch="CHANGED FROM BASELINE"
+  round1="$(cd "$baseline" && pwd)"
+  echo "cross-build: round 1 = $round1, round 2 = $build"
 fi
 
 # ext_chaos additionally self-checks: one invocation runs its probe
@@ -27,10 +47,12 @@ scratch="$(mktemp -d)"
 trap 'rm -rf "$scratch"' EXIT
 
 for round in 1 2; do
+  dir="$build"
+  [[ "$round" == 1 ]] && dir="$round1"
   mkdir -p "$scratch/run$round/results"
   for bench in "${benches[@]}"; do
     echo "== round $round: $bench =="
-    (cd "$scratch/run$round" && "$OLDPWD/$build/bench/$bench" quick >/dev/null)
+    (cd "$scratch/run$round" && "$dir/bench/$bench" quick >/dev/null)
   done
 done
 
@@ -47,7 +69,7 @@ for bench in "${benches[@]}"; do
     a="$scratch/run1/results/$report.$ext"
     b="$scratch/run2/results/$report.$ext"
     if ! diff -q "$a" "$b" >/dev/null; then
-      echo "NON-DETERMINISTIC: $bench.$ext differs between identical runs" >&2
+      echo "$mismatch: $bench.$ext differs between round 1 and round 2" >&2
       diff "$a" "$b" | head -20 >&2 || true
       status=1
     fi
@@ -62,7 +84,7 @@ EOF
     echo "MISSING: $bench.json carries no sim.digest metric" >&2
     status=1
   else
-    echo "$bench: $digests digest(s) identical across runs"
+    echo "$bench: $digests digest(s) identical across rounds"
   fi
 done
 

@@ -19,12 +19,15 @@ Pass B - roots. The hot set is seeded by `Engine::dispatch` (the loop
     call site - the bodies the dispatcher will eventually invoke.
 
 Pass C - reachability. From each root, walk the call graph: bare calls
-    resolve against the enclosing class then free functions;
+    resolve against the enclosing class (or its nearest base class that
+    defines the method, plus every derived-class override, since a bare
+    call may dispatch virtually) then free functions;
     `obj.method(` / `obj->method(` calls resolve the receiver's declared
     type from function locals/parameters or the enclosing class's member
-    declarations. FABSIM_COLD stops the walk (error/teardown paths are
-    exempt); unresolvable calls are recorded in the report, never
-    guessed. The walk is depth-limited (--max-depth, default 4).
+    declarations, then its base classes. FABSIM_COLD stops the walk
+    (error/teardown paths are exempt); unresolvable calls are recorded in
+    the report, never guessed. The walk is depth-limited (--max-depth,
+    default 4).
 
 Pass D - purity scan. Every reached body is scanned for:
       hot_alloc        `new` (placement new exempt), make_unique/shared
@@ -53,10 +56,10 @@ import os
 import re
 import sys
 
-DEFAULT_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from cxx_scan import (CLASS_DEF, DEFAULT_ROOT, POST_CALL, SourceFile,  # noqa: E402
+                      innermost_class, line_of, matching, source_files, split_top_level)
 
-POST_CALL = re.compile(r"(?:->|\.)\s*post\s*\(")  # post_resume does not match
-CLASS_DEF = re.compile(r"\b(class|struct)\s+([A-Za-z_]\w*)\b")
 HOT_OK = re.compile(r"HOT-OK\(([^)\n]*)\)")
 FUNC_HEAD = re.compile(r"(?:\b([A-Za-z_]\w*)\s*::\s*)?(~?[A-Za-z_]\w*)\s*\(")
 CALL = re.compile(r"(?:\b([A-Za-z_]\w*)\s*(->|\.)\s*)?\b([A-Za-z_]\w*)\s*\(")
@@ -108,103 +111,14 @@ FINDING_RULES = [
 ]
 MUTATION_SEAM = re.compile(r"FABSIM_MUTATION_HOTALLOC\s*\(")
 
-OPEN_OF = {")": "(", "]": "[", "}": "{"}
-
-
-def mask_comments_and_strings(text):
-    """Replace comments and string/char literals with spaces (offsets kept)."""
-    out = list(text)
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "/" and i + 1 < n and text[i + 1] == "/":
-            j = text.find("\n", i)
-            j = n if j < 0 else j
-            for k in range(i, j):
-                out[k] = " "
-            i = j
-        elif c == "/" and i + 1 < n and text[i + 1] == "*":
-            j = text.find("*/", i + 2)
-            j = n - 2 if j < 0 else j
-            for k in range(i, j + 2):
-                if out[k] != "\n":
-                    out[k] = " "
-            i = j + 2
-        elif c in "\"'":
-            quote = c
-            j = i + 1
-            while j < n and text[j] != quote:
-                j += 2 if text[j] == "\\" else 1
-            for k in range(i, min(j + 1, n)):
-                if out[k] != "\n":
-                    out[k] = " "
-            i = j + 1
-        else:
-            i += 1
-    return "".join(out)
-
-
-def matching(masked, start, open_ch, close_ch):
-    """Offset of the close matching masked[start] == open_ch, or -1."""
-    depth = 0
-    for i in range(start, len(masked)):
-        c = masked[i]
-        if c == open_ch:
-            depth += 1
-        elif c == close_ch:
-            depth -= 1
-            if depth == 0:
-                return i
-    return -1
-
-
-def split_top_level(masked_text):
-    """Split on commas at bracket depth zero; returns (start, end) spans."""
-    spans, depth, begin = [], 0, 0
-    for i, c in enumerate(masked_text):
-        if c in "([{":
-            depth += 1
-        elif c in ")]}":
-            depth -= 1
-        elif c == "," and depth == 0:
-            spans.append((begin, i))
-            begin = i + 1
-    spans.append((begin, len(masked_text)))
-    return spans
-
-
-def line_of(text, offset):
-    return text.count("\n", 0, offset) + 1
-
-
-def source_files(top, exts=(".hpp", ".h", ".cpp")):
-    for dirpath, dirnames, names in os.walk(top):
-        dirnames.sort()
-        # Fixture trees are deliberately dirty; skip them unless they ARE
-        # the scan root (the self-tests point --root at one).
-        if "lint_fixtures" in os.path.relpath(dirpath, top).split(os.sep):
-            continue
-        for name in sorted(names):
-            if os.path.splitext(name)[1] in exts:
-                yield os.path.join(dirpath, name)
-
-
-class SourceFile:
-    def __init__(self, path, root):
-        self.path = path
-        self.rel = os.path.relpath(path, root)
-        with open(path, encoding="utf-8") as f:
-            self.raw = f.read()
-        self.masked = mask_comments_and_strings(self.raw)
-        self.lines = self.raw.splitlines()
-
 
 class ClassInfo:
-    def __init__(self, name, src, start, end):
+    def __init__(self, name, src, start, end, bases):
         self.name = name
         self.src = src
         self.start = start  # offset of the class body's '{'
         self.end = end
+        self.bases = bases  # unqualified base-class names, in declaration order
 
 
 class FunctionInfo:
@@ -243,17 +157,16 @@ def collect_classes(src):
         end = matching(src.masked, i, "{", "}")
         if end < 0:
             continue
-        classes.append(ClassInfo(m.group(2), src, i, end))
+        # `class D final : public ns::B, private C<T> {` -> [B, C]
+        head = re.split(r"(?<!:):(?!:)", src.masked[m.end():i], maxsplit=1)
+        bases = []
+        if len(head) == 2:
+            for base in head[1].split(","):
+                names = re.findall(r"[A-Za-z_]\w*", re.sub(r"<.*", "", base))
+                if names:
+                    bases.append(names[-1])
+        classes.append(ClassInfo(m.group(2), src, i, end, bases))
     return classes
-
-
-def innermost_class(classes, offset):
-    best = None
-    for c in classes:
-        if c.start < offset < c.end:
-            if best is None or c.start > best.start:
-                best = c
-    return best
 
 
 def annotation_before(src, head_offset):
@@ -372,13 +285,40 @@ class Analyzer:
                 self.funcs_by_key.setdefault(fn.key, []).append(fn)
                 self.funcs_by_name.setdefault(fn.name, []).append(fn)
 
-    def lookup(self, cls_name, name):
-        """Definitions for cls::name, preferring the exact class."""
+    def related(self, cls_name, upward):
+        """Base classes (upward) or derived classes of cls_name, nearest first."""
+        out, queue = [], [cls_name]
+        while queue:
+            name = queue.pop(0)
+            if upward:
+                nxt = [b for c in self.classes_by_name.get(name, []) for b in c.bases]
+            else:
+                nxt = [c.name for cs in self.classes_by_name.values() for c in cs
+                       if name in c.bases]
+            for n in nxt:
+                if n not in out and n != cls_name:
+                    out.append(n)
+                    queue.append(n)
+        return out
+
+    def lookup(self, cls_name, name, virtual=False, free=True):
+        """Definitions for cls::name: the class itself, else its nearest
+        base that defines it. A `virtual` call (an unqualified call inside
+        the class, which may dispatch to an override) also collects the
+        same-named definitions of every derived class. `free` falls back
+        to a free function of that name."""
         if cls_name:
-            hits = self.funcs_by_key.get(f"{cls_name}::{name}")
+            hits = []
+            for owner in [cls_name] + self.related(cls_name, upward=True):
+                hits = list(self.funcs_by_key.get(f"{owner}::{name}", []))
+                if hits:
+                    break
+            if virtual:
+                for sub in self.related(cls_name, upward=False):
+                    hits.extend(self.funcs_by_key.get(f"{sub}::{name}", []))
             if hits:
                 return hits
-        return self.funcs_by_key.get(name, [])
+        return self.funcs_by_key.get(name, []) if free else []
 
     # --- pass C -----------------------------------------------------------
     def resolve_calls(self, src, body_start, body_end, cls_name, func_text):
@@ -393,7 +333,7 @@ class Analyzer:
             if receiver in ("std", "fabsim"):
                 continue
             if receiver is None or receiver == "this":
-                hits = self.lookup(cls_name, callee)
+                hits = self.lookup(cls_name, callee, virtual=True)
                 if hits:
                     out.extend(hits)
                 elif callee not in SAFE_CALLS and not callee[0].isupper():
@@ -409,7 +349,7 @@ class Analyzer:
                     if decl:
                         break
             recv_cls = type_to_class_name(decl)
-            hits = self.funcs_by_key.get(f"{recv_cls}::{callee}") if recv_cls else None
+            hits = self.lookup(recv_cls, callee, free=False) if recv_cls else None
             if hits:
                 out.extend(hits)
             else:

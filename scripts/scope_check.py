@@ -58,80 +58,16 @@ import os
 import re
 import sys
 
-DEFAULT_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from cxx_scan import (CLASS_DEF, DEFAULT_ROOT, POST_CALL, SourceFile,  # noqa: E402
+                      innermost_class, line_of, matching, source_files, split_top_level)
 
 MARKER = re.compile(
     r"FABSIM_OWNED_BY\s*\(|FABSIM_SHARED\s*;|FABSIM_ENGINE_LOCAL\s*;"
 )
-POST_CALL = re.compile(r"(?:->|\.)\s*post\s*\(")  # post_resume does not match
-CLASS_DEF = re.compile(r"\b(class|struct)\s+([A-Za-z_]\w*)\b")
 SCOPE_OK = re.compile(r"SCOPE-OK\(([^)\n]*)\)")
 MOVE_INIT = re.compile(r"^\s*[A-Za-z_]\w*\s*=\s*std::move\s*\(")
 METHOD_DEF = re.compile(r"([A-Za-z_]\w*)\s*::\s*~?[A-Za-z_]\w*\s*\($")
-
-OPEN_OF = {")": "(", "]": "[", "}": "{"}
-
-
-def mask_comments_and_strings(text):
-    """Replace comments and string/char literals with spaces (offsets kept)."""
-    out = list(text)
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "/" and i + 1 < n and text[i + 1] == "/":
-            j = text.find("\n", i)
-            j = n if j < 0 else j
-            for k in range(i, j):
-                out[k] = " "
-            i = j
-        elif c == "/" and i + 1 < n and text[i + 1] == "*":
-            j = text.find("*/", i + 2)
-            j = n - 2 if j < 0 else j
-            for k in range(i, j + 2):
-                if out[k] != "\n":
-                    out[k] = " "
-            i = j + 2
-        elif c in "\"'":
-            quote = c
-            j = i + 1
-            while j < n and text[j] != quote:
-                j += 2 if text[j] == "\\" else 1
-            for k in range(i, min(j + 1, n)):
-                if out[k] != "\n":
-                    out[k] = " "
-            i = j + 1
-        else:
-            i += 1
-    return "".join(out)
-
-
-def matching(masked, start, open_ch, close_ch):
-    """Offset of the close matching masked[start] == open_ch, or -1."""
-    depth = 0
-    for i in range(start, len(masked)):
-        c = masked[i]
-        if c == open_ch:
-            depth += 1
-        elif c == close_ch:
-            depth -= 1
-            if depth == 0:
-                return i
-    return -1
-
-
-def split_top_level(masked_text):
-    """Split on commas at bracket depth zero; returns (start, end) spans."""
-    spans, depth, begin = [], 0, 0
-    for i, c in enumerate(masked_text):
-        if c in "([{":
-            depth += 1
-        elif c in ")]}":
-            depth -= 1
-        elif c == "," and depth == 0:
-            spans.append((begin, i))
-            begin = i + 1
-    spans.append((begin, len(masked_text)))
-    return spans
 
 
 def normalize_expr(raw_text):
@@ -139,32 +75,6 @@ def normalize_expr(raw_text):
     no_block = re.sub(r"/\*.*?\*/", "", raw_text, flags=re.S)
     no_line = re.sub(r"//[^\n]*", "", no_block)
     return re.sub(r"\s+", "", no_line)
-
-
-def line_of(text, offset):
-    return text.count("\n", 0, offset) + 1
-
-
-def source_files(top, exts=(".hpp", ".h", ".cpp")):
-    for dirpath, dirnames, names in os.walk(top):
-        dirnames.sort()
-        # Fixture trees are deliberately dirty; skip them unless they ARE
-        # the scan root (the self-tests point --root at one).
-        if "lint_fixtures" in os.path.relpath(dirpath, top).split(os.sep):
-            continue
-        for name in sorted(names):
-            if os.path.splitext(name)[1] in exts:
-                yield os.path.join(dirpath, name)
-
-
-class SourceFile:
-    def __init__(self, path, root):
-        self.path = path
-        self.rel = os.path.relpath(path, root)
-        with open(path, encoding="utf-8") as f:
-            self.raw = f.read()
-        self.masked = mask_comments_and_strings(self.raw)
-        self.lines = self.raw.splitlines()
 
 
 class ClassInfo:
@@ -203,15 +113,6 @@ def collect_classes(src):
             continue
         classes.append(ClassInfo(m.group(2), src, i, end))
     return classes
-
-
-def innermost_class(classes, offset):
-    best = None
-    for c in classes:
-        if c.start < offset < c.end:
-            if best is None or c.start > best.start:
-                best = c
-    return best
 
 
 def collect_markers(src, classes, problems):

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "check/audits.hpp"
 
@@ -21,7 +22,17 @@ ChVerbs::ChVerbs(int rank, int world_size, verbs::Device& device, hw::Node& node
       config_(config),
       cq_(engine),
       peers_(static_cast<std::size_t>(world_size)),
-      pin_cache_(config.pin_cache_entries, config.pin_cache_bytes) {}
+      pin_cache_(config.pin_cache_entries, config.pin_cache_bytes) {
+  // A receiver frees at most eager_buffers slots before its sender stalls
+  // on credits, so a larger credit batch is never returned: both sides
+  // would wait on each other forever.
+  if (config_.eager_buffers == 0 || config_.credit_batch > config_.eager_buffers) {
+    throw std::invalid_argument(
+        "ch_verbs: eager_buffers " + std::to_string(config_.eager_buffers) + " with credit_batch " +
+        std::to_string(config_.credit_batch) +
+        " never returns credits (need eager_buffers > 0 and credit_batch <= eager_buffers)");
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Wiring

@@ -12,7 +12,7 @@
 //
 //  1. *Static annotations* — `FABSIM_HOT` and `FABSIM_COLD` mark function
 //     definitions (place before the return type, e.g.
-//     `FABSIM_HOT void Rnic::pump_tx()`). They expand to nothing;
+//     `FABSIM_HOT void Rnic::emit_segment(...)`). They expand to nothing;
 //     `scripts/hotpath_check.py` parses them and computes call-graph
 //     reachability from `Engine::dispatch` through every `post()`
 //     continuation body:

@@ -34,11 +34,12 @@
 namespace fabsim::sim {
 
 /// Inline storage for one posted continuation. Sized for the largest
-/// wire-handoff lambda in the tree (an iwarp::Rnic Segment or ib::Hca
-/// Packet moved into the capture plus a handful of pointers) while
-/// keeping the whole wrapper — ops pointer + storage — at exactly three
-/// cache lines; the compile-time fit check below turns a capture that
-/// outgrows this into a build error naming the offending post site.
+/// wire-handoff lambda in the tree (an mx::Endpoint frame moved into the
+/// pump_tx capture, 152 B; the iWARP segment and IB packet captures, which
+/// share the verbs::RcWire header, stay at or below 136 B) while keeping
+/// the whole wrapper — ops pointer + storage — at exactly three cache
+/// lines; the compile-time fit check below turns a capture that outgrows
+/// this into a build error naming the offending post site.
 inline constexpr std::size_t kEventFnCapacity = 176;
 
 /// Move-only callable with fixed inline storage and no heap fallback.

@@ -14,4 +14,13 @@ void Engine::dispatch(int ev) {
   ctr_ += 1;  // HOT-OK()                          -> empty_waiver (no rationale)
 }
 
+FABSIM_HOT void Rnic::deliver(int ev) { place(ev); }  // base-class method
+
+void Nic::place(int ev) {
+  log_.push_back(ev);  // -> hot_growth, reached only through Rnic
+  transmit(ev);        // virtual: reaches Rnic::transmit
+}
+
+void Rnic::transmit(int ev) { buf_ = new char[ev]; }  // -> hot_alloc in the override
+
 }  // namespace fixdev

@@ -2,7 +2,8 @@
 // hotpath_check self-test fixture: the dirty tree. Engine::dispatch
 // commits one violation per rule (plus one inside a post() lambda and a
 // dormant mutation seam for the --mutation polarity case); the
-// self-test asserts every tag fires.
+// self-test asserts every tag fires. Nic/Rnic check that the walk
+// follows calls into a base class and into a derived override.
 
 namespace fixdev {
 
@@ -14,6 +15,22 @@ class Engine {
   char* buf_ = nullptr;
   int ctr_ = 0;
   bool armed_ = true;
+};
+
+class Nic {
+ protected:
+  void place(int ev);
+  virtual void transmit(int ev) = 0;
+  int log_[4] = {};
+};
+
+class Rnic final : public Nic {
+ public:
+  void deliver(int ev);
+
+ private:
+  void transmit(int ev) override;
+  char* buf_ = nullptr;
 };
 
 }  // namespace fixdev

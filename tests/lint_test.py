@@ -94,6 +94,10 @@ for rule in ["hot_alloc", "hot_growth", "hot_stdfunction", "hot_wallclock",
     check(f"hotpath: dirty tree flags [{rule}]", f"[{rule}]" in dirty.stderr)
 check("hotpath: dirty tree scanned the post lambda",
       "<post-lambda>" in dirty.stderr)
+check("hotpath: dirty tree walked into a base-class method",
+      "Nic::place:" in dirty.stderr)
+check("hotpath: dirty tree walked into a derived override",
+      "Rnic::transmit:" in dirty.stderr)
 check("hotpath: dormant mutation seam is NOT flagged",
       "mutation_hotalloc" not in dirty.stderr)
 armed = run("hotpath_check.py", "--root",

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/cluster.hpp"
@@ -324,6 +326,40 @@ TEST(MpiChVerbs, CreditFlowSurvivesUnexpectedFlood) {
   }(cluster, src, dst, kMessages));
   cluster.engine().run();
   EXPECT_EQ(cluster.engine().live_processes(), 0u);
+}
+
+TEST(MpiChVerbs, CreditBatchLargerThanRingIsRejected) {
+  // The receiver can free at most eager_buffers slots before the sender
+  // stalls, so credit_batch > eager_buffers would never return a credit
+  // and both ranks would hang; the channel must refuse the pair instead.
+  NetworkProfile p = profile(Network::kIb);
+  p.mpi.eager_buffers = 8;
+  p.mpi.credit_batch = 64;
+  Cluster cluster(2, p);
+  try {
+    // spawn() runs setup_mpi() up to its first suspension, which is past
+    // the channels' construction.
+    cluster.engine().spawn([](Cluster& c) -> Task<> { co_await c.setup_mpi(); }(cluster));
+    cluster.engine().run();
+    FAIL() << "ChVerbs accepted credit_batch 64 > eager_buffers 8";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("credit_batch 64"), std::string::npos) << what;
+    EXPECT_NE(what.find("eager_buffers 8"), std::string::npos) << what;
+  }
+}
+
+TEST(MpiChVerbs, ZeroEagerBuffersIsRejected) {
+  NetworkProfile p = profile(Network::kIwarp);
+  p.mpi.eager_buffers = 0;
+  p.mpi.credit_batch = 0;
+  Cluster cluster(2, p);
+  EXPECT_THROW(
+      {
+        cluster.engine().spawn([](Cluster& c) -> Task<> { co_await c.setup_mpi(); }(cluster));
+        cluster.engine().run();
+      },
+      std::invalid_argument);
 }
 
 TEST(MpiDeterminism, FourNetworksRepeatable) {
