@@ -63,8 +63,14 @@ Checks, over src/ (and headers everywhere):
      keep off the hot path. Use sim::InplaceFn (sim/inplace_fn.hpp),
      a template parameter, or a concrete functor; a deliberate use
      takes a NOLINT with a written rationale.
+ 13. mmap-confinement: page mappings (mmap/munmap/mremap/madvise and
+     <sys/mman.h>) are confined to src/hw/memory.cpp, where hw::Buffer
+     owns the lazy zero pages of every large data-carrying buffer. A
+     mapping anywhere else is host memory the simulated address space
+     neither finds nor frees, in the style of rule 10's confinement of
+     the host clock to src/sim/prof.*.
 
-A line containing NOLINT is exempt from 3-9, 11 and 12. Exit status:
+A line containing NOLINT is exempt from 3-9 and 11-13. Exit status:
 0 clean, 1 violations found.
 """
 import argparse
@@ -101,6 +107,10 @@ WALL_CLOCK_EXEMPT = {
     os.path.join("src", "sim", "prof.hpp"),
     os.path.join("src", "sim", "prof.cpp"),
 }
+# Rule 13: the one owner of page mappings (hw::Buffer's lazy zero pages).
+PAGE_MAPPING = re.compile(
+    r"(?<![\w])(?:mmap|mmap64|munmap|mremap|madvise)\s*\(|<\s*sys/mman\.h\s*>")
+PAGE_MAPPING_OWNER = os.path.join("src", "hw", "memory.cpp")
 # Rule 11: a variable declaration at namespace scope. Function
 # declarations are excluded by requiring no '(' after the name; keyword
 # statements (using/typedef/forward decls/...) by the lookahead.
@@ -257,6 +267,12 @@ def lint():
                      "SBO, breaking the zero-alloc dispatch contract); use "
                      "sim::InplaceFn, a template parameter, or a concrete "
                      "functor, or NOLINT with a rationale")
+            if (PAGE_MAPPING.search(code)
+                    and os.path.relpath(path, ROOT) != PAGE_MAPPING_OWNER):
+                flag(path, i, "mmap-confinement",
+                     "page mapping outside src/hw/memory.cpp (hw::Buffer owns "
+                     "every mapping so the address space can find and free it; "
+                     "allocate through hw::AddressSpace — rule 13)")
             if SWITCH_FAILURE_SEAM.search(code) and not path.startswith(
                     (os.path.join(SRC, "topo") + os.sep,
                      os.path.join(SRC, "fault") + os.sep)):

@@ -24,7 +24,9 @@ Pass C - reachability. From each root, walk the call graph: bare calls
     call may dispatch virtually) then free functions;
     `obj.method(` / `obj->method(` calls resolve the receiver's declared
     type from function locals/parameters or the enclosing class's member
-    declarations, then its base classes. FABSIM_COLD stops the walk
+    declarations, then its base classes; a receiver reached through a
+    member chain (`conn.peer->method(`) is typed as that member of the
+    chain's own type first. FABSIM_COLD stops the walk
     (error/teardown paths are exempt); unresolvable calls are recorded in
     the report, never guessed. The walk is depth-limited (--max-depth,
     default 4).
@@ -63,6 +65,8 @@ from cxx_scan import (CLASS_DEF, DEFAULT_ROOT, POST_CALL, SourceFile,  # noqa: E
 HOT_OK = re.compile(r"HOT-OK\(([^)\n]*)\)")
 FUNC_HEAD = re.compile(r"(?:\b([A-Za-z_]\w*)\s*::\s*)?(~?[A-Za-z_]\w*)\s*\(")
 CALL = re.compile(r"(?:\b([A-Za-z_]\w*)\s*(->|\.)\s*)?\b([A-Za-z_]\w*)\s*\(")
+# `outer.` / `outer->` immediately before a receiver token.
+MEMBER_OF = re.compile(r"\b([A-Za-z_]\w*)\s*(?:->|\.)\s*$")
 
 # Not function names / not worth chasing. Resolution failures for names
 # outside this set are recorded as unresolved, never treated as hot.
@@ -321,6 +325,51 @@ class Analyzer:
         return self.funcs_by_key.get(name, []) if free else []
 
     # --- pass C -----------------------------------------------------------
+    def member_type(self, cls_name, member, context=None, seen=None):
+        """Class of data member `member` of cls_name or its nearest base
+        that declares it (the class may live in the sibling header). When
+        several classes share the name (Hca::Conn, Rnic::Conn, ...), the
+        ones nested in the `context` class win."""
+        seen = seen if seen is not None else set()
+        if cls_name in seen:
+            return None
+        seen.add(cls_name)
+        same_name = self.classes_by_name.get(cls_name, [])
+        nested = [c for c in same_name
+                  if any(p.name == context and p.start < c.start < p.end
+                         for p in self.classes_by_src[c.src.path])]
+        candidates = nested or same_name
+        for cls in candidates:
+            decl = find_decl_type(cls.src.raw[cls.start:cls.end], member)
+            if decl:
+                return type_to_class_name(decl)
+        for cls in candidates:
+            for base in cls.bases:
+                found = self.member_type(base, member, seen=seen)
+                if found:
+                    return found
+        return None
+
+    def receiver_class(self, body, start, name, cls_name, func_text, depth=0):
+        """Class of the receiver `name` whose token starts at body[start].
+        Through a member chain first (`conn.peer->f(`: the type of `peer`
+        inside the type of `conn`), else from function locals/params, else
+        from the member declarations of the enclosing class or its bases."""
+        if name == "this":
+            return cls_name
+        outer = MEMBER_OF.search(body[max(0, start - 120):start])
+        if outer and depth < 3:
+            outer_cls = self.receiver_class(body, start - len(outer.group(0)),
+                                            outer.group(1), cls_name, func_text,
+                                            depth + 1)
+            found = self.member_type(outer_cls, name, cls_name) if outer_cls else None
+            if found:
+                return found
+        decl = find_decl_type(func_text, name)
+        if decl is not None:
+            return type_to_class_name(decl)
+        return self.member_type(cls_name, name) if cls_name else None
+
     def resolve_calls(self, src, body_start, body_end, cls_name, func_text):
         """Called FunctionInfos reachable from one body."""
         body = src.masked[body_start:body_end + 1]
@@ -339,16 +388,7 @@ class Analyzer:
                 elif callee not in SAFE_CALLS and not callee[0].isupper():
                     self.unresolved[callee] = self.unresolved.get(callee, 0) + 1
                 continue
-            # obj.method( / obj->method( : type the receiver from function
-            # locals/params, else from the enclosing class's member
-            # declarations (the class may live in the sibling header).
-            decl = find_decl_type(func_text, receiver)
-            if decl is None and cls_name:
-                for cls in self.classes_by_name.get(cls_name, []):
-                    decl = find_decl_type(cls.src.raw[cls.start:cls.end], receiver)
-                    if decl:
-                        break
-            recv_cls = type_to_class_name(decl)
+            recv_cls = self.receiver_class(body, m.start(1), receiver, cls_name, func_text)
             hits = self.lookup(recv_cls, callee, free=False) if recv_cls else None
             if hits:
                 out.extend(hits)

@@ -109,6 +109,12 @@ class Cluster {
 
  private:
   NetworkProfile profile_;
+  // The owned checkers are declared before engine_ so they outlive it:
+  // ~Engine calls hot_auditor_->on_detach(), and members die in reverse
+  // declaration order.
+  std::unique_ptr<check::InvariantMonitor> owned_monitor_;
+  std::unique_ptr<scope::ScopeAuditor> owned_auditor_;
+  std::unique_ptr<hot::HotpathAuditor> owned_hot_auditor_;
   Engine engine_;
   topo::Topology topo_;
   std::vector<std::unique_ptr<hw::Node>> nodes_;
@@ -119,9 +125,6 @@ class Cluster {
   std::vector<std::unique_ptr<mpi::Rank>> mpi_ranks_;
   bool mpi_ready_ = false;
   std::unique_ptr<Event> mpi_ready_event_;
-  std::unique_ptr<check::InvariantMonitor> owned_monitor_;
-  std::unique_ptr<scope::ScopeAuditor> owned_auditor_;
-  std::unique_ptr<hot::HotpathAuditor> owned_hot_auditor_;
 };
 
 }  // namespace fabsim::core

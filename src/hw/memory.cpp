@@ -1,9 +1,37 @@
 #include "hw/memory.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cstring>
+#include <new>
 
 namespace fabsim::hw {
+
+Buffer::Buffer(std::uint64_t addr, std::uint64_t size, bool with_data)
+    : addr_(addr), size_(size) {
+  if (!with_data) return;
+  if (size < kLazyZeroBytes) {
+    heap_.resize(size);
+    bytes_ = heap_;
+    return;
+  }
+  // Not calloc: glibc raises its mmap threshold after the first large
+  // free, so calloc'd pages would be lazy or eagerly zeroed depending on
+  // allocation history.
+  void* pages = ::mmap(nullptr, size, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (pages == MAP_FAILED) throw std::bad_alloc();
+  // One touched byte should cost one 4 KiB page, not a 2 MiB huge page on
+  // hosts whose transparent huge pages are set to "always". Advisory: a
+  // kernel without THP rejects it and the pages are small anyway.
+  ::madvise(pages, size, MADV_NOHUGEPAGE);
+  bytes_ = {static_cast<std::byte*>(pages), size};
+  mapped_ = true;
+}
+
+Buffer::~Buffer() {
+  if (mapped_) ::munmap(bytes_.data(), bytes_.size());
+}
 
 Buffer& AddressSpace::alloc(std::uint64_t size, bool with_data) {
   const std::uint64_t addr = next_addr_;

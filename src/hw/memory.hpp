@@ -3,9 +3,13 @@
 //
 // Buffers may carry real bytes (tests verify zero-copy placement end to
 // end) or be size-only (benchmarks avoid megabytes of memcpy per
-// simulated message). Registration cost — the dominant term of the
-// paper's buffer-re-use experiment (Fig 6) — is exposed so callers charge
-// it to the host CPU at registration time.
+// simulated message). A data-carrying buffer of kLazyZeroBytes or more
+// takes zero-on-demand pages from the kernel, so it costs only the pages
+// it touches: MiniMPI's per-peer eager arenas (N^2 of them, mostly idle)
+// cost only the slots a job uses. Smaller buffers stay on the heap.
+// Registration cost — the dominant term of the paper's
+// buffer-re-use experiment (Fig 6) — is exposed so callers charge it to
+// the host CPU at registration time.
 #pragma once
 
 #include <cstddef>
@@ -22,19 +26,31 @@ namespace fabsim::hw {
 
 class Buffer {
  public:
-  Buffer(std::uint64_t addr, std::uint64_t size, bool with_data)
-      : addr_(addr), size_(size), data_(with_data ? size : 0) {}
+  /// Data-carrying buffers at least this large get private anonymous
+  /// pages that the kernel zero-fills on first touch. The value is glibc's
+  /// default mmap threshold, so smaller buffers are allocated exactly as a
+  /// value-initialised vector always was.
+  static constexpr std::uint64_t kLazyZeroBytes = 128 * 1024;
+
+  Buffer(std::uint64_t addr, std::uint64_t size, bool with_data);
+  ~Buffer();
+  Buffer(const Buffer&) = delete;
+  Buffer& operator=(const Buffer&) = delete;
 
   std::uint64_t addr() const { return addr_; }
   std::uint64_t size() const { return size_; }
-  bool has_data() const { return !data_.empty(); }
-  std::span<std::byte> bytes() { return data_; }
-  std::span<const std::byte> bytes() const { return data_; }
+  bool has_data() const { return !bytes_.empty(); }
+  /// Contiguous bytes; pages of a lazy buffer that were never written
+  /// read as zero.
+  std::span<std::byte> bytes() { return bytes_; }
+  std::span<const std::byte> bytes() const { return bytes_; }
 
  private:
   std::uint64_t addr_;
   std::uint64_t size_;
-  std::vector<std::byte> data_;
+  std::vector<std::byte> heap_;  ///< storage below kLazyZeroBytes
+  std::span<std::byte> bytes_;   ///< heap_ or the mapping; empty if size-only
+  bool mapped_ = false;
 };
 
 /// Per-node virtual address space: a bump allocator over fake addresses

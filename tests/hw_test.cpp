@@ -1,7 +1,10 @@
 // Unit tests for the hardware models: fabric, PCI buses, CPU cost model,
 // address space, and memory registration.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -253,6 +256,88 @@ TEST(AddressSpace, FindByInteriorAddress) {
   Buffer& buffer = mem.alloc(4096);
   EXPECT_EQ(mem.find(buffer.addr() + 4095), &buffer);
   EXPECT_EQ(mem.find(buffer.addr() + 4096), nullptr);
+}
+
+namespace {
+
+// Pages of `bytes` the kernel reports resident. Reading an untouched page
+// of a lazy buffer maps the shared zero page, which counts as resident:
+// call this before reading the bytes back.
+std::size_t resident_pages(std::span<const std::byte> bytes) {
+  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const auto begin = reinterpret_cast<std::uintptr_t>(bytes.data()) / page * page;
+  const auto end = reinterpret_cast<std::uintptr_t>(bytes.data() + bytes.size());
+  std::vector<unsigned char> vec((end - begin + page - 1) / page);
+  if (::mincore(reinterpret_cast<void*>(begin), end - begin, vec.data()) != 0) {
+    ADD_FAILURE() << "mincore failed";
+    return 0;
+  }
+  return static_cast<std::size_t>(
+      std::count_if(vec.begin(), vec.end(), [](unsigned char v) { return (v & 1) != 0; }));
+}
+
+}  // namespace
+
+TEST(AddressSpace, FreshLargeDataBufferHasNoResidentPages) {
+  AddressSpace mem;
+  Buffer& buffer = mem.alloc(1 << 20);
+  ASSERT_TRUE(buffer.has_data());
+  EXPECT_EQ(buffer.bytes().size(), 1u << 20);
+  EXPECT_EQ(resident_pages(buffer.bytes()), 0u);
+}
+
+TEST(AddressSpace, OneByteWriteMakesOnePageResidentRestReadsZero) {
+  AddressSpace mem;
+  Buffer& buffer = mem.alloc(1 << 20);
+  const std::uint64_t offset = 600 * 1024;
+  const std::byte one[1] = {std::byte{0x5a}};
+  mem.write(buffer.addr() + offset, one);
+  EXPECT_EQ(resident_pages(buffer.bytes()), 1u);
+
+  const auto bytes = buffer.bytes();
+  EXPECT_EQ(bytes[offset], std::byte{0x5a});
+  std::size_t nonzero = 0;
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    if (i != offset && bytes[i] != std::byte{0}) ++nonzero;
+  }
+  EXPECT_EQ(nonzero, 0u);
+}
+
+TEST(AddressSpace, WindowAcrossAPageBoundaryRoundTrips) {
+  AddressSpace mem;
+  Buffer& buffer = mem.alloc(1 << 20);
+  const std::uint64_t addr = buffer.addr() + 3 * 4096 - 100;
+  std::vector<std::byte> payload(300);
+  for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = static_cast<std::byte>(i + 1);
+  mem.write(addr, payload);
+
+  auto view = mem.window(addr, payload.size());
+  ASSERT_EQ(view.size(), payload.size());
+  EXPECT_EQ(std::memcmp(view.data(), payload.data(), payload.size()), 0);
+  EXPECT_EQ(view.data(), buffer.bytes().data() + (addr - buffer.addr()));
+}
+
+TEST(AddressSpace, BufferBelowLazyThresholdIsZeroedUpFront) {
+  AddressSpace mem;
+  Buffer& buffer = mem.alloc(Buffer::kLazyZeroBytes - 1);
+  ASSERT_TRUE(buffer.has_data());
+  ASSERT_EQ(buffer.bytes().size(), Buffer::kLazyZeroBytes - 1);
+  // Heap storage, value-initialised: every page is touched at allocation.
+  const std::size_t page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  const std::size_t spanned =
+      (reinterpret_cast<std::uintptr_t>(buffer.bytes().data()) % page + buffer.size() + page - 1) /
+      page;
+  EXPECT_EQ(resident_pages(buffer.bytes()), spanned);
+  EXPECT_TRUE(std::all_of(buffer.bytes().begin(), buffer.bytes().end(),
+                          [](std::byte b) { return b == std::byte{0}; }));
+
+  std::vector<std::byte> payload(64, std::byte{7});
+  mem.write(buffer.addr() + 4000, payload);
+  auto view = mem.window(buffer.addr() + 4000, payload.size());
+  EXPECT_EQ(std::memcmp(view.data(), payload.data(), payload.size()), 0);
+
+  // An empty data buffer still carries no bytes.
+  EXPECT_FALSE(mem.alloc(0).has_data());
 }
 
 TEST(MemoryRegistry, RegisterLookupDeregister) {

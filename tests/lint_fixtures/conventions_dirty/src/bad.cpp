@@ -1,4 +1,6 @@
 // Fixture: behavioural-rule positives, one per rule.
+#include <sys/mman.h>  // Rule 13: page mappings outside src/hw/memory.cpp.
+
 #include <chrono>
 #include <cstdlib>
 
@@ -21,6 +23,8 @@ void Bad::tick() {
   auto sw = std::make_unique<hw::Switch>(config());
   // Rule 9: failure seam driven outside src/topo/ and src/fault/.
   sw->set_switch_down(true);
+  // Rule 13: a private mapping nothing in hw::Buffer accounts for.
+  void* pages = mmap(nullptr, 4096, PROT_READ, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
 }
 
 }  // namespace fixture

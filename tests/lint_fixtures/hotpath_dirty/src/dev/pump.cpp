@@ -19,7 +19,13 @@ FABSIM_HOT void Rnic::deliver(int ev) { place(ev); }  // base-class method
 void Nic::place(int ev) {
   log_.push_back(ev);  // -> hot_growth, reached only through Rnic
   transmit(ev);        // virtual: reaches Rnic::transmit
+  Conn conn;
+  fail(conn);
 }
+
+void Nic::fail(Conn& conn) { conn.peer->peer_failed(conn.peer_id); }  // peer: a Conn member
+
+void Nic::peer_failed(int id) { throw id; }  // -> hot_throw, reached only through Conn::peer
 
 void Rnic::transmit(int ev) { buf_ = new char[ev]; }  // -> hot_alloc in the override
 

@@ -3,7 +3,8 @@
 // commits one violation per rule (plus one inside a post() lambda and a
 // dormant mutation seam for the --mutation polarity case); the
 // self-test asserts every tag fires. Nic/Rnic check that the walk
-// follows calls into a base class and into a derived override.
+// follows calls into a base class and into a derived override; Conn
+// checks that it types `conn.peer->` through a member of a local's type.
 
 namespace fixdev {
 
@@ -17,9 +18,18 @@ class Engine {
   bool armed_ = true;
 };
 
+class Nic;
+
+struct Conn {
+  Nic* peer = nullptr;
+  int peer_id = -1;
+};
+
 class Nic {
  protected:
   void place(int ev);
+  void fail(Conn& conn);
+  void peer_failed(int id);
   virtual void transmit(int ev) = 0;
   int log_[4] = {};
 };

@@ -42,10 +42,13 @@ check("conventions: dirty tree fails", dirty.returncode != 0)
 for rule in ["pragma-once", "include-resolution", "no-wall-clock",
              "no-naked-new", "no-rand", "post-ref-capture",
              "unordered-iteration", "switch-construction",
-             "switch-failure-seam", "no-global-state", "no-stdfunction"]:
+             "switch-failure-seam", "no-global-state", "no-stdfunction",
+             "mmap-confinement"]:
     check(f"conventions: dirty tree flags [{rule}]", f"[{rule}]" in dirty.stderr)
 check("conventions: dirty tree count is exact",
-      "11 problem(s)" in dirty.stderr)
+      "13 problem(s)" in dirty.stderr)
+check("conventions: dirty tree flags the <sys/mman.h> include and the mmap call",
+      dirty.stderr.count("[mmap-confinement]") == 2)
 
 # The real tree must be clean too (the gate the fixtures exist to guard).
 real = run("conventions_lint.py")
@@ -98,6 +101,8 @@ check("hotpath: dirty tree walked into a base-class method",
       "Nic::place:" in dirty.stderr)
 check("hotpath: dirty tree walked into a derived override",
       "Rnic::transmit:" in dirty.stderr)
+check("hotpath: dirty tree typed a receiver through a member of a local's struct",
+      "Nic::peer_failed:" in dirty.stderr)
 check("hotpath: dormant mutation seam is NOT flagged",
       "mutation_hotalloc" not in dirty.stderr)
 armed = run("hotpath_check.py", "--root",
