@@ -15,6 +15,7 @@
 // credit-accounting seam.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -156,6 +157,20 @@ TEST(SwitchFaults, DropCorruptAndDelayAtIngress) {
 // ---------------------------------------------------------------------------
 // IB RC end-to-end retransmission
 // ---------------------------------------------------------------------------
+
+/// Fill `buffer` with a position-dependent pattern, so a misplaced or
+/// stale byte anywhere in a transfer shows up as a mismatch.
+void fill_pattern(hw::Buffer& buffer, std::uint8_t salt) {
+  auto bytes = buffer.bytes();
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::byte>((i * 131 + (i >> 9) + salt) & 0xff);
+  }
+}
+
+/// True iff `a` and `b` carry the same bytes.
+bool same_bytes(const hw::Buffer& a, const hw::Buffer& b) {
+  return a.size() == b.size() && std::equal(a.bytes().begin(), a.bytes().end(), b.bytes().begin());
+}
 
 struct IbRun {
   Time finished = 0;
@@ -417,6 +432,60 @@ TEST(IbFaults, RetryExhaustionWithPendingReadFlushesCompletion) {
   EXPECT_TRUE(reported) << "enter_error with pending reads must be reported";
 }
 
+TEST(IbFaults, GoBackNDeliversExactBytes) {
+  // Data-carrying buffers under random loss: every PSN go-back-N round
+  // re-sends packets from the retransmit queue, and the bytes that land
+  // must still be exactly the source's, for a tagged write and a Send.
+  const std::uint32_t len = 256 * 1024;
+  core::Cluster cluster(2, core::ib_profile());
+  FaultPlan plan(21);
+  plan.drop_probability(0.05);
+  cluster.engine().set_fault_injector(&plan);
+  auto& src = cluster.node(0).mem().alloc(len);
+  auto& write_dst = cluster.node(1).mem().alloc(len);
+  auto& send_dst = cluster.node(1).mem().alloc(len);
+  fill_pattern(src, 3);
+
+  bool placed = false;
+  verbs::Completion recv{};
+  verbs::CompletionQueue scq(cluster.engine());
+  verbs::CompletionQueue rcq(cluster.engine());
+  std::vector<std::unique_ptr<verbs::QueuePair>> qps;
+  cluster.engine().spawn([](core::Cluster& c, verbs::CompletionQueue& send_cq,
+                            verbs::CompletionQueue& recv_cq,
+                            std::vector<std::unique_ptr<verbs::QueuePair>>& pairs, std::uint64_t s,
+                            std::uint64_t wd, std::uint64_t sd, std::uint32_t n, bool& done,
+                            verbs::Completion& got) -> Task<> {
+    pairs.push_back(c.device(0).create_qp(send_cq, send_cq));
+    pairs.push_back(c.device(1).create_qp(recv_cq, recv_cq));
+    c.device(0).establish(*pairs[0], *pairs[1]);
+    auto lkey = co_await c.device(0).reg_mr(s, n);
+    auto wkey = co_await c.device(1).reg_mr(wd, n);
+    auto rkey = co_await c.device(1).reg_mr(sd, n);
+    co_await pairs[1]->post_recv(verbs::RecvWr{.wr_id = 9, .sge = {sd, n, rkey}});
+    auto watch = c.device(1).watch_placement(wd, n);
+    co_await pairs[0]->post_send(verbs::SendWr{.wr_id = 1,
+                                               .opcode = verbs::Opcode::kRdmaWrite,
+                                               .sge = {s, n, lkey},
+                                               .remote_addr = wd,
+                                               .rkey = wkey});
+    co_await pairs[0]->post_send(
+        verbs::SendWr{.wr_id = 2, .opcode = verbs::Opcode::kSend, .sge = {s, n, lkey}});
+    co_await watch->wait();
+    done = true;
+    got = co_await verbs::next_completion(recv_cq, c.node(1).cpu(), ns(200));
+  }(cluster, scq, rcq, qps, src.addr(), write_dst.addr(), send_dst.addr(), len, placed, recv));
+  cluster.engine().run();
+
+  ASSERT_TRUE(placed);
+  EXPECT_EQ(recv.status, verbs::Completion::Status::kSuccess);
+  EXPECT_EQ(recv.byte_len, len);
+  EXPECT_GT(plan.frames_dropped(), 0u);
+  EXPECT_GT(cluster.hca(0).retransmits(), 0u) << "the loss must have driven go-back-N";
+  EXPECT_TRUE(same_bytes(src, write_dst)) << "RDMA Write bytes differ after retransmission";
+  EXPECT_TRUE(same_bytes(src, send_dst)) << "Send bytes differ after retransmission";
+}
+
 // ---------------------------------------------------------------------------
 // MX reliable delivery
 // ---------------------------------------------------------------------------
@@ -533,6 +602,48 @@ TEST(MxFaults, CorruptedEagerFrameIsDiscardedAndResent) {
   ASSERT_TRUE(run.recv_done);
   EXPECT_EQ(run.recv_len, 4096u);
   EXPECT_GE(run.resends, 1u);
+}
+
+TEST(MxFaults, ResendDeliversExactBytes) {
+  // Eager (multi-frame, below eager_max) and rendezvous messages between
+  // data-carrying buffers under random loss: resent frames come from the
+  // per-flow resend queue, and the receive buffer must end up holding
+  // exactly the source bytes.
+  core::NetworkProfile profile = core::mxoe_profile();
+  profile.mx.rto = us(100);
+  for (const std::uint32_t len : {16u * 1024u, 256u * 1024u}) {
+    core::Cluster cluster(2, profile);
+    FaultPlan plan(5);
+    plan.drop_probability(0.05);
+    plan.nth_frame(2, FaultAction::kDrop);  // a 4-frame eager message may dodge 5% loss
+    cluster.engine().set_fault_injector(&plan);
+    auto& src = cluster.node(0).mem().alloc(len);
+    auto& dst = cluster.node(1).mem().alloc(len);
+    fill_pattern(src, 7);
+
+    MxRun out;
+    cluster.engine().spawn(
+        [](core::Cluster& c, std::uint64_t s, std::uint32_t n, MxRun& result) -> Task<> {
+          auto request = co_await c.endpoint(0).isend(s, n, c.endpoint(1).port(), 7);
+          co_await c.endpoint(0).wait(request);
+          result.send_done = request->done() && !request->failed();
+        }(cluster, src.addr(), len, out));
+    cluster.engine().spawn(
+        [](core::Cluster& c, std::uint64_t d, std::uint32_t n, MxRun& result) -> Task<> {
+          auto request = co_await c.endpoint(1).irecv(d, n, 7, ~0ull);
+          co_await c.endpoint(1).wait(request);
+          result.recv_done = request->done() && !request->failed();
+          result.recv_len = request->length();
+        }(cluster, dst.addr(), len, out));
+    cluster.engine().run();
+
+    ASSERT_TRUE(out.send_done) << "len=" << len;
+    ASSERT_TRUE(out.recv_done) << "len=" << len;
+    EXPECT_EQ(out.recv_len, len);
+    EXPECT_GT(plan.frames_dropped(), 0u) << "len=" << len;
+    EXPECT_GT(cluster.endpoint(0).resends(), 0u) << "len=" << len;
+    EXPECT_TRUE(same_bytes(src, dst)) << "len=" << len << ": bytes differ after resends";
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -788,6 +899,51 @@ TEST(IwarpFaults, RetryExhaustionWithPendingReadFlushesCompletion) {
   EXPECT_EQ(cluster.rnic(1).retry_exceeded_completions(), 0u)
       << "the responder owns no work request for the read";
   EXPECT_GE(plan.frames_dropped(), 4u) << "the response and its retransmits were dropped";
+}
+
+TEST(IwarpFaults, GoBackNReadDeliversExactBytes) {
+  // A multi-segment RDMA Read under random loss: the responder's response
+  // segments are re-sent from its go-back-N retransmit queue, and the
+  // requester's sink must end up holding exactly the source bytes.
+  core::Cluster cluster(2, core::Network::kIwarp);
+  FaultPlan plan(13);
+  plan.drop_probability(0.05);
+  cluster.engine().set_fault_injector(&plan);
+  const std::uint32_t len = 64 * 1024;  // ~47 segments at the default MSS
+  auto& sink = cluster.node(0).mem().alloc(len);
+  auto& source = cluster.node(1).mem().alloc(len);
+  fill_pattern(source, 11);
+
+  IbRun out;
+  verbs::CompletionQueue scq(cluster.engine());
+  verbs::CompletionQueue rcq(cluster.engine());
+  std::vector<std::unique_ptr<verbs::QueuePair>> qps;
+  cluster.engine().spawn([](core::Cluster& c, verbs::CompletionQueue& send_cq,
+                            verbs::CompletionQueue& recv_cq,
+                            std::vector<std::unique_ptr<verbs::QueuePair>>& pairs, std::uint64_t s,
+                            std::uint64_t d, std::uint32_t n, IbRun& result) -> Task<> {
+    pairs.push_back(c.device(0).create_qp(send_cq, send_cq));
+    pairs.push_back(c.device(1).create_qp(recv_cq, recv_cq));
+    c.device(0).establish(*pairs[0], *pairs[1]);
+    auto lkey = co_await c.device(0).reg_mr(d, n);
+    auto rkey = co_await c.device(1).reg_mr(s, n);
+    co_await pairs[0]->post_send(verbs::SendWr{.wr_id = 1,
+                                               .opcode = verbs::Opcode::kRdmaRead,
+                                               .sge = {d, n, lkey},
+                                               .remote_addr = s,
+                                               .rkey = rkey});
+    result.send_completion = co_await verbs::next_completion(send_cq, c.node(0).cpu(), ns(200));
+    result.got_send = true;
+  }(cluster, scq, rcq, qps, source.addr(), sink.addr(), len, out));
+  cluster.engine().run();
+
+  ASSERT_TRUE(out.got_send);
+  EXPECT_EQ(out.send_completion.status, verbs::Completion::Status::kSuccess);
+  EXPECT_EQ(out.send_completion.type, verbs::Completion::Type::kRdmaRead);
+  EXPECT_EQ(out.send_completion.byte_len, len);
+  EXPECT_GT(plan.frames_dropped(), 0u);
+  EXPECT_GT(cluster.rnic(1).retransmits(), 0u) << "response segments must have been re-sent";
+  EXPECT_TRUE(same_bytes(source, sink)) << "Read bytes differ after go-back-N";
 }
 
 }  // namespace
