@@ -78,6 +78,58 @@ std::span<std::byte> AddressSpace::window(std::uint64_t addr, std::uint64_t len)
   return buffer->bytes().subspan(addr - buffer->addr(), len);
 }
 
+/// Free snapshot storage, ordered by capacity.
+struct AddressSpace::SnapshotPool {
+  std::vector<std::unique_ptr<std::vector<std::byte>>> free;
+  std::size_t minted = 0;  ///< vectors made so far; `free` always has room for all of them
+
+  static bool smaller(const std::unique_ptr<std::vector<std::byte>>& storage, std::size_t len) {
+    return storage->capacity() < len;
+  }
+
+  /// The smallest free vector holding `len` bytes without growing, else
+  /// the largest one (it grows on assignment), else a new one.
+  std::unique_ptr<std::vector<std::byte>> take(std::size_t len) {
+    if (free.empty()) {
+      // HOT-OK(pool miss: room to take one more vector back; bounded by the snapshots live at the peak)
+      free.reserve(++minted);
+      // HOT-OK(pool miss: one more vector; bounded by the snapshots live at the peak)
+      return std::make_unique<std::vector<std::byte>>();
+    }
+    auto it = std::lower_bound(free.begin(), free.end(), len, smaller);
+    if (it == free.end()) --it;
+    auto storage = std::move(*it);
+    free.erase(it);
+    return storage;
+  }
+
+  /// Runs in the snapshot's deleter, so it must not throw: the insert
+  /// never reallocates, because `free` was reserved for every minted vector.
+  void give(std::vector<std::byte>* storage) noexcept {
+    auto it = std::lower_bound(free.begin(), free.end(), storage->capacity(), smaller);
+    // HOT-OK(within the capacity reserved at mint time; never reallocates)
+    free.insert(it, std::unique_ptr<std::vector<std::byte>>(storage));
+  }
+};
+
+Snapshot AddressSpace::snapshot(std::uint64_t addr, std::uint64_t len) {
+  Buffer* buffer = find(addr);
+  if (buffer == nullptr || addr + len > buffer->addr() + buffer->size()) {
+    // HOT-OK(misuse guard; unreachable in a conforming run)
+    throw std::out_of_range("AddressSpace::snapshot outside any buffer");
+  }
+  if (!buffer->has_data()) return nullptr;
+  // HOT-OK(once per address space, on its first data-carrying snapshot)
+  if (pool_ == nullptr) pool_ = std::make_shared<SnapshotPool>();
+  auto storage = pool_->take(len);
+  const auto source = buffer->bytes().subspan(addr - buffer->addr(), len);
+  // HOT-OK(grows only a pooled vector smaller than the request; otherwise copies into its capacity)
+  storage->assign(source.begin(), source.end());
+  return std::shared_ptr<std::vector<std::byte>>(
+      storage.release(),
+      [pool = pool_](std::vector<std::byte>* released) { pool->give(released); });
+}
+
 MemoryRegistry::Key MemoryRegistry::register_region(std::uint64_t addr, std::uint64_t len) {
   const Key key = next_key_++;
   regions_.emplace(key, Region{key, addr, len});

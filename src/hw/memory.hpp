@@ -7,6 +7,18 @@
 // takes zero-on-demand pages from the kernel, so it costs only the pages
 // it touches: MiniMPI's per-peer eager arenas (N^2 of them, mostly idle)
 // cost only the slots a job uses. Smaller buffers stay on the heap.
+//
+// Every payload a stack copies out of host memory (a posted message, a
+// read response, an MPI unexpected message) is one Snapshot: an
+// immutable copy taken once, at post time, and shared by every wire unit
+// that carries part of it — each unit holds the whole snapshot plus its
+// own offset, and so do the retransmit queues. The storage comes from a
+// per-AddressSpace pool, created on the first data-carrying snapshot, so
+// size-only nodes never build one. A released snapshot hands its vector
+// back; a later snapshot reuses the smallest free vector that fits, or
+// grows the largest one, so the pool never holds more vectors than were
+// live at once. The pool lives as long as its last snapshot: frames
+// still queued when a Cluster is torn down stay readable.
 // Registration cost — the dominant term of the paper's
 // buffer-re-use experiment (Fig 6) — is exposed so callers charge it to
 // the host CPU at registration time.
@@ -53,6 +65,10 @@ class Buffer {
   bool mapped_ = false;
 };
 
+/// Immutable bytes of a message payload, shared by every wire unit that
+/// carries part of it; nullptr for a size-only source.
+using Snapshot = std::shared_ptr<const std::vector<std::byte>>;
+
 /// Per-node virtual address space: a bump allocator over fake addresses
 /// with an interval map for placement lookups.
 class AddressSpace {
@@ -71,9 +87,17 @@ class AddressSpace {
   /// View of [addr, addr+len) — requires a data-carrying buffer.
   std::span<std::byte> window(std::uint64_t addr, std::uint64_t len);
 
+  /// Copy of [addr, addr+len) as it is now, in pooled storage; nullptr if
+  /// the covering buffer is size-only. Throws std::out_of_range outside
+  /// any buffer.
+  Snapshot snapshot(std::uint64_t addr, std::uint64_t len);
+
  private:
+  struct SnapshotPool;
+
   std::uint64_t next_addr_ = 0x1000;
   std::map<std::uint64_t, std::unique_ptr<Buffer>> buffers_;  // keyed by start address
+  std::shared_ptr<SnapshotPool> pool_;  ///< also owned by every live snapshot
 };
 
 struct RegistrationConfig {

@@ -63,8 +63,7 @@ FABSIM_HOT void Hca::transmit_packet(Conn& conn, Packet packet, bool retransmit)
     // Requester side: stamp the PSN, keep a copy for retransmission, and
     // make sure a retry timer covers the (possibly new) head of line.
     packet.psn = conn.snd_psn++;
-    // HOT-OK(inflight window bounded by the send window; capacity reused after warm-up)
-    conn.inflight.push_back(packet);
+    conn.inflight.push(packet);
     if (check::InvariantMonitor* monitor = engine().monitor()) {
       // Incremental contiguity: the appended PSN must extend the tail by
       // exactly one (O(1) per packet; the whole-queue form of this audit
@@ -159,7 +158,7 @@ void Hca::handle_ack_packet(Conn& conn, const Packet& ack) {
   bool advanced = false;
   while (!conn.inflight.empty() && conn.inflight.front().psn < ack.ack_psn) {
     const Packet done = std::move(conn.inflight.front());
-    conn.inflight.pop_front();
+    conn.inflight.pop();
     advanced = true;
     if (done.completes_send()) complete_send(*conn.qp, done);
   }

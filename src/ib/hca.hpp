@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <list>
 #include <memory>
 
@@ -33,6 +32,7 @@
 #include "hw/fabric.hpp"
 #include "hw/node.hpp"
 #include "ib/config.hpp"
+#include "sim/ring.hpp"
 #include "sim/scope.hpp"
 #include "verbs/rc.hpp"
 
@@ -78,7 +78,7 @@ class Hca final : public verbs::RcNic {
                                                // HCA's events
     std::uint64_t snd_psn = 0;         ///< next PSN to assign (requester)
     std::uint64_t exp_psn = 0;         ///< next PSN expected (responder)
-    std::deque<Packet> inflight;       ///< unacked packets, for retransmit
+    sim::Ring<Packet> inflight;        ///< unacked packets, for retransmit
     std::uint64_t timer_gen = 0;
     bool timer_armed = false;
     int retry_count = 0;               ///< consecutive RTO rounds

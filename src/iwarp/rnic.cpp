@@ -35,8 +35,7 @@ const char* kind_name(verbs::MsgKind kind) {
 
 void Rnic::segment_message(verbs::RcConn& rc, verbs::OutMsg msg) {
   Conn& conn = static_cast<Conn&>(rc);
-  // HOT-OK(send queue bounded by posted WRs and outstanding reads; capacity reused after warm-up)
-  conn.sendq.push_back(TxMsg{std::move(msg)});
+  conn.sendq.push(TxMsg{std::move(msg)});
   pump(conn);
 }
 
@@ -49,7 +48,7 @@ void Rnic::pump(Conn& conn) {
       if (conn.snd_nxt - conn.snd_una + chunk > config_.window) return;  // window closed
       emit_segment(conn, msg, chunk);
     }
-    conn.sendq.pop_front();
+    conn.sendq.pop();
   }
 }
 
@@ -65,8 +64,7 @@ FABSIM_HOT void Rnic::emit_segment(Conn& conn, TxMsg& msg, std::uint32_t chunk) 
   }
   msg.offset += chunk;
   conn.snd_nxt += chunk;
-  // HOT-OK(inflight window bounded by the send window; capacity reused after warm-up)
-  conn.inflight.push_back(segment);
+  conn.inflight.push(segment);
   transmit(conn, std::move(segment), /*retransmit=*/false);
   arm_timer(conn);
 }
@@ -168,7 +166,7 @@ void Rnic::handle_ack(Conn& conn, std::uint64_t ack) {
   conn.retry_count = 0;  // forward progress: the stream is alive
   while (!conn.inflight.empty() &&
          conn.inflight.front().seq + conn.inflight.front().payload_len <= conn.snd_una) {
-    conn.inflight.pop_front();
+    conn.inflight.pop();
   }
   ++conn.timer_gen;  // invalidate the running timer
   conn.timer_armed = false;

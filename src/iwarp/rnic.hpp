@@ -21,13 +21,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 
 #include "fault/plan.hpp"
 #include "hw/fabric.hpp"
 #include "hw/node.hpp"
 #include "iwarp/config.hpp"
+#include "sim/ring.hpp"
 #include "sim/scope.hpp"
 #include "verbs/rc.hpp"
 
@@ -75,10 +75,10 @@ class Rnic final : public verbs::RcNic {
                                                // advances only inside the
                                                // owning NIC's events
     // Transmit.
-    std::deque<TxMsg> sendq;
+    sim::Ring<TxMsg> sendq;
     std::uint64_t snd_nxt = 0;  ///< next stream byte to send
     std::uint64_t snd_una = 0;  ///< oldest unacknowledged byte
-    std::deque<Segment> inflight;  ///< copies for go-back-N retransmit
+    sim::Ring<Segment> inflight;  ///< copies for go-back-N retransmit
     std::uint64_t timer_gen = 0;
     bool timer_armed = false;
     int retry_count = 0;  ///< consecutive RTO fires without ack progress

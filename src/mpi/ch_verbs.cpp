@@ -501,12 +501,9 @@ Task<> ChVerbs::handle_inbound(int peer_rank, std::uint32_t slot) {
         if (env.kind != Kind::kRts) {
           // Copy the payload out of the ring into host memory and return
           // the slot immediately (MPICH keeps its ring shallow this way).
-          co_await cpu().copy(slot_addr(*peer.recv_arena, slot) + kEnvBytes, env.len);
-          if (env.len > 0) {
-            auto view = peer.recv_arena->bytes().subspan(
-                static_cast<std::size_t>(slot) * slot_size() + kEnvBytes, env.len);
-            msg.data = std::make_shared<std::vector<std::byte>>(view.begin(), view.end());
-          }
+          const std::uint64_t payload = slot_addr(*peer.recv_arena, slot) + kEnvBytes;
+          co_await cpu().copy(payload, env.len);
+          if (env.len > 0) msg.data = node_->mem().snapshot(payload, env.len);
           co_await release_recv_slot(peer_rank, slot, /*count_credit=*/true);
         } else {
           co_await release_recv_slot(peer_rank, slot, false);

@@ -17,23 +17,6 @@ MxConfig mxoe_defaults() {
   return config;
 }
 
-namespace {
-
-std::shared_ptr<std::vector<std::byte>> snapshot(hw::AddressSpace& mem, std::uint64_t addr,
-                                                 std::uint32_t len) {
-  hw::Buffer* buffer = mem.find(addr);
-  if (buffer == nullptr || addr + len > buffer->addr() + buffer->size()) {
-    // HOT-OK(protocol-violation guard; unreachable in a conforming run)
-    throw std::out_of_range("mx: source outside any buffer");
-  }
-  if (!buffer->has_data()) return nullptr;
-  auto view = mem.window(addr, len);
-  // HOT-OK(per-message wire payload snapshot; stack-level state outside the engine's tracked zero-alloc contract)
-  return std::make_shared<std::vector<std::byte>>(view.begin(), view.end());
-}
-
-}  // namespace
-
 Endpoint::Endpoint(hw::Node& node, hw::Switch& fabric, MxConfig config)
     : node_(&node),
       fabric_(&fabric),
@@ -66,7 +49,8 @@ Task<RequestPtr> Endpoint::isend(std::uint64_t addr, std::uint32_t len, int dest
     // Copy into the pinned send ring (the single send-side copy of MX's
     // eager protocol); the user buffer is reusable immediately after.
     co_await node_->cpu().copy(addr, len);
-    op.data = snapshot(node_->mem(), addr, len);
+    hw::AddressSpace& mem = node_->mem();
+    op.data = mem.snapshot(addr, len);
     engine().post(engine().now() + config_.doorbell, /*scope=*/port_,
                   [this, op = std::move(op)]() mutable { send_eager(std::move(op)); });
   } else {
@@ -183,8 +167,7 @@ FABSIM_HOT void Endpoint::enqueue_tx(PendingTx tx) {
     FlowTx& flow = tx_flows_[tx.dest];
     tx.frame.has_seq = true;
     tx.frame.seq = flow.next_seq++;
-    // HOT-OK(unacked window bounded by the flow window; capacity reused after warm-up)
-    flow.unacked.push_back(FlowTx::Unacked{tx.frame, tx.carries_data});
+    flow.unacked.push(FlowTx::Unacked{tx.frame, tx.carries_data});
     if (check::InvariantMonitor* monitor = engine().monitor()) {
       // Incremental resend-queue contiguity (O(1) per frame; the whole-
       // queue form is check::audit_mx_resend_queue).
@@ -200,8 +183,7 @@ FABSIM_HOT void Endpoint::enqueue_tx(PendingTx tx) {
     }
     arm_flow_timer(tx.dest);
   }
-  // HOT-OK(tx queue bounded by posted sends; capacity reused after warm-up)
-  txq_.push_back(std::move(tx));
+  txq_.push(std::move(tx));
   if (!pump_armed_) {
     pump_armed_ = true;
     pump_tx();
@@ -221,7 +203,7 @@ void Endpoint::pump_tx() {
     return;
   }
   PendingTx tx = std::move(txq_.front());
-  txq_.pop_front();
+  txq_.pop();
   ++frames_sent_;
 
   Time ready = engine().now();
@@ -294,7 +276,7 @@ void Endpoint::handle_flow_ack(int src_port, std::uint64_t ack) {
   }
   bool advanced = false;
   while (!flow.unacked.empty() && flow.unacked.front().frame.seq < ack) {
-    flow.unacked.pop_front();
+    flow.unacked.pop();
     advanced = true;
   }
   if (!advanced) return;
@@ -413,11 +395,7 @@ void Endpoint::send_eager(SendOp op) {
     frame.offset = offset;
     frame.payload_len = chunk;
     frame.first_of_message = (offset == 0);
-    if (op.data != nullptr) {
-      // HOT-OK(per-frame wire payload buffer; stack-level state outside the engine's tracked zero-alloc contract)
-      frame.data = std::make_shared<std::vector<std::byte>>(op.data->begin() + offset,
-                                                            op.data->begin() + offset + chunk);
-    }
+    frame.data = op.data;
     offset += chunk;
     frame.last_of_message = (offset == op.len);
     PendingTx tx{std::move(frame), op.dest, /*carries_data=*/true, nullptr, 0, 0};
@@ -436,7 +414,8 @@ void Endpoint::send_rts(SendOp op) {
     return;
   }
   const std::uint64_t msg_id = next_msg_id_++;
-  op.data = snapshot(node_->mem(), op.addr, op.len);
+  hw::AddressSpace& mem = node_->mem();
+  op.data = mem.snapshot(op.addr, op.len);
   send_control(FrameKind::kRts, op.dest, msg_id, 0, op.match_bits, op.len);
   // HOT-OK(rendezvous bookkeeping bounded by outstanding sends)
   pending_sends_.emplace(msg_id, std::move(op));
@@ -478,11 +457,7 @@ void Endpoint::stream_data(std::uint64_t msg_id, std::uint64_t receiver_handle) 
     frame.offset = offset;
     frame.payload_len = chunk;
     frame.first_of_message = (offset == 0);
-    if (op.data != nullptr) {
-      // HOT-OK(per-frame wire payload buffer; stack-level state outside the engine's tracked zero-alloc contract)
-      frame.data = std::make_shared<std::vector<std::byte>>(op.data->begin() + offset,
-                                                            op.data->begin() + offset + chunk);
-    }
+    frame.data = op.data;
     offset += chunk;
     frame.last_of_message = (offset == op.len);
     PendingTx tx{std::move(frame), op.dest, /*carries_data=*/true, nullptr, 0, 0};
@@ -629,10 +604,10 @@ void Endpoint::handle_eager_arrival(MxFrame frame) {
     u.msg_id = frame.msg_id;
     u.match_bits = frame.match_bits;
     u.msg_len = frame.msg_len;
-    u.data = frame.msg_len > 0 && frame.data != nullptr
-                 // HOT-OK(unexpected-message staging buffer; bounded by unmatched arrivals)
-                 ? std::make_shared<std::vector<std::byte>>(frame.msg_len)
-                 : nullptr;
+    // Every frame of the message carries the sender's whole snapshot, so
+    // staging holds it instead of copying frame by frame; delivery still
+    // waits until every frame has landed.
+    u.data = frame.data;
     if (it != posted_.end()) {
       u.matched = *it;
       u.has_match = true;
@@ -657,9 +632,6 @@ void Endpoint::handle_eager_arrival(MxFrame frame) {
     entry = &*it;
   }
 
-  if (entry->data != nullptr && frame.data != nullptr) {
-    std::copy(frame.data->begin(), frame.data->end(), entry->data->begin() + frame.offset);
-  }
   entry->buffered += frame.payload_len;
   if (entry->buffered < entry->msg_len) return;
 
@@ -690,9 +662,11 @@ void Endpoint::finish_eager_delivery(Unexpected& u) {
 }
 
 void Endpoint::handle_rts(const MxFrame& frame) {
-  engine().trace(TraceCategory::kProto, node_->id(),
-                 "MX RTS arrived: match=" + std::to_string(frame.match_bits) + " len=" +
-                     std::to_string(frame.msg_len));
+  if (engine().tracer() != nullptr) {
+    engine().trace(TraceCategory::kProto, node_->id(),
+                   "MX RTS arrived: match=" + std::to_string(frame.match_bits) + " len=" +
+                       std::to_string(frame.msg_len));
+  }
   auto it = std::find_if(posted_.begin(), posted_.end(), [&](const PostedRecv& recv) {
     return matches(recv, frame.match_bits);
   });
@@ -742,8 +716,10 @@ void Endpoint::handle_cts(const MxFrame& frame) {
   // A CTS racing the flow-failure declaration: the pending send was
   // already failed and purged, so the grant is moot.
   if (flow_failed(frame.src_port)) return;
-  engine().trace(TraceCategory::kProto, node_->id(),
-                 "MX CTS arrived: streaming msg " + std::to_string(frame.msg_id));
+  if (engine().tracer() != nullptr) {
+    engine().trace(TraceCategory::kProto, node_->id(),
+                   "MX CTS arrived: streaming msg " + std::to_string(frame.msg_id));
+  }
   stream_data(frame.msg_id, frame.peer_msg_id);
 }
 
@@ -758,7 +734,8 @@ void Endpoint::handle_data(const MxFrame& frame) {
   }
   RndvRecv& rr = it->second;
   if (frame.data != nullptr) {
-    node_->mem().write(rr.recv.addr + frame.offset, *frame.data);
+    node_->mem().write(rr.recv.addr + frame.offset,
+                       std::span(*frame.data).subspan(frame.offset, frame.payload_len));
   }
   rr.placed += frame.payload_len;
   if (rr.placed < rr.msg_len) return;

@@ -23,6 +23,7 @@
 #include "hw/node.hpp"
 #include "hw/reg_cache.hpp"
 #include "mx/config.hpp"
+#include "sim/ring.hpp"
 #include "sim/scope.hpp"
 #include "sim/sync.hpp"
 #include "verbs/verbs.hpp"
@@ -164,7 +165,8 @@ class Endpoint final : public hw::FrameSink {
     std::uint64_t seq = 0;
     bool has_ack = false;   ///< cumulative piggybacked / standalone ack
     std::uint64_t ack = 0;  ///< all flow seqs below this are acked
-    std::shared_ptr<std::vector<std::byte>> data;
+    hw::Snapshot data;      ///< the whole message; this frame carries
+                            ///< [offset, offset + payload_len)
   };
 
   /// Sender-side state of one outgoing message.
@@ -175,7 +177,7 @@ class Endpoint final : public hw::FrameSink {
     std::uint32_t len = 0;
     std::uint64_t match_bits = 0;
     bool eager = false;
-    std::shared_ptr<std::vector<std::byte>> data;  ///< eager ring snapshot
+    hw::Snapshot data;  ///< eager ring copy / rendezvous source snapshot
   };
 
   /// Receiver-side posted receive.
@@ -196,7 +198,7 @@ class Endpoint final : public hw::FrameSink {
     std::uint32_t msg_len = 0;
     std::uint32_t buffered = 0;  ///< eager bytes landed so far
     bool complete = false;       ///< all eager bytes buffered
-    std::shared_ptr<std::vector<std::byte>> data;  ///< eager bounce buffer
+    hw::Snapshot data;           ///< eager payload: the sender's snapshot
     PostedRecv matched;          ///< receive waiting for buffering to finish
     bool has_match = false;
   };
@@ -244,7 +246,7 @@ class Endpoint final : public hw::FrameSink {
       MxFrame frame;
       bool carries_data = false;
     };
-    std::deque<Unacked> unacked;  ///< frames held for resend, oldest first
+    sim::Ring<Unacked> unacked;  ///< frames held for resend, oldest first
     std::uint64_t timer_gen = 0;
     bool timer_armed = false;
     int retries = 0;     ///< consecutive timeout rounds without progress
@@ -306,7 +308,7 @@ class Endpoint final : public hw::FrameSink {
   std::map<std::uint64_t, RndvRecv> rndv_recvs_;  ///< by receiver handle id
   std::uint64_t next_recv_handle_ = 1;
 
-  std::deque<PendingTx> txq_;
+  sim::Ring<PendingTx> txq_;
   bool pump_armed_ = false;
   std::map<int, FlowTx> tx_flows_;  ///< by destination port
   std::map<int, FlowRx> rx_flows_;  ///< by source port

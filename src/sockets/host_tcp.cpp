@@ -44,16 +44,9 @@ Task<> HostTcp::send_impl(int conn_id, std::uint64_t addr, std::uint32_t len) {
   co_await node_->cpu().compute(config_.syscall);
   co_await node_->cpu().copy(addr, len);
 
-  // Grab the payload bytes (if the buffer carries data).
-  hw::Buffer* src = node_->mem().find(addr);
-  if (src == nullptr || addr + len > src->addr() + src->size()) {
-    throw std::out_of_range("sockets: send buffer outside any allocation");
-  }
-  std::shared_ptr<std::vector<std::byte>> data;
-  if (src->has_data()) {
-    auto view = node_->mem().window(addr, len);
-    data = std::make_shared<std::vector<std::byte>>(view.begin(), view.end());
-  }
+  // Grab the payload bytes (if the buffer carries data); every segment
+  // shares them.
+  const hw::Snapshot data = node_->mem().snapshot(addr, len);
 
   // Kernel transmit path: per-segment stack work on this CPU, then the
   // NIC serializes each frame onto the wire.
@@ -66,10 +59,8 @@ Task<> HostTcp::send_impl(int conn_id, std::uint64_t addr, std::uint32_t len) {
     Segment segment;
     segment.dst_conn_id = conn.peer_conn_id;
     segment.payload_len = chunk;
-    if (data != nullptr) {
-      segment.data = std::make_shared<std::vector<std::byte>>(data->begin() + offset,
-                                                              data->begin() + offset + chunk);
-    }
+    segment.data_offset = offset;
+    segment.data = data;
     ++segments_sent_;
     const std::uint32_t wire = chunk + config_.seg_overhead;
     Conn* c = &conn;
@@ -101,8 +92,10 @@ void HostTcp::deliver(hw::Frame frame) {
   engine().post(processed, /*scope=*/port_, [this, conn_id, segment = std::move(segment)]() mutable {
     Conn& c = *conns_.at(static_cast<std::size_t>(conn_id));
     if (segment.data != nullptr) {
+      const auto bytes =
+          std::span(*segment.data).subspan(segment.data_offset, segment.payload_len);
       // HOT-OK(socket receive ring append, bounded by the receive window)
-      c.rx_buffer.insert(c.rx_buffer.end(), segment.data->begin(), segment.data->end());
+      c.rx_buffer.insert(c.rx_buffer.end(), bytes.begin(), bytes.end());
     }
     c.rx_bytes_total += segment.payload_len;
     c.readable->notify_all();

@@ -82,7 +82,8 @@ class HostTcp final : public hw::FrameSink {
     int dst_conn_id = -1;
     std::uint64_t seq = 0;
     std::uint32_t payload_len = 0;
-    std::shared_ptr<std::vector<std::byte>> data;
+    std::uint32_t data_offset = 0;  ///< where this segment's bytes start in `data`
+    hw::Snapshot data;              ///< the whole send() payload, optional
   };
 
   struct Conn {

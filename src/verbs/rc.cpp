@@ -138,7 +138,8 @@ Task<> RcNic::post_send_impl(RcQp& qp, SendWr wr) {
       msg.read_len = wr.sge.length;
       break;
   }
-  if (wr.opcode != Opcode::kRdmaRead) msg.data = snapshot(wr.sge.addr, wr.sge.length);
+  hw::AddressSpace& mem = node_->mem();
+  if (wr.opcode != Opcode::kRdmaRead) msg.data = mem.snapshot(wr.sge.addr, wr.sge.length);
 
   const int conn_id = qp.conn_id_;
   // Doorbell: the NIC picks the WQE up `doorbell` later; the host call
@@ -169,19 +170,6 @@ Task<> RcNic::post_recv_impl(RcQp& qp, RecvWr wr) {
   }
   co_await node_->cpu().compute(costs_.post_recv_cpu);
   conns_[static_cast<std::size_t>(qp.conn_id_)]->recv_queue.push_back(wr);
-}
-
-std::shared_ptr<std::vector<std::byte>> RcNic::snapshot(std::uint64_t addr, std::uint32_t len) {
-  hw::AddressSpace& mem = node_->mem();
-  hw::Buffer* buffer = mem.find(addr);
-  if (buffer == nullptr || addr + len > buffer->addr() + buffer->size()) {
-    // HOT-OK(protocol-violation guard; unreachable in a conforming run)
-    throw std::out_of_range(stack_error(layer_, "source outside any buffer"));
-  }
-  if (!buffer->has_data()) return nullptr;
-  auto view = mem.window(addr, len);
-  // HOT-OK(per-message wire payload snapshot; stack-level state outside the engine's tracked zero-alloc contract)
-  return std::make_shared<std::vector<std::byte>>(view.begin(), view.end());
 }
 
 // ---------------------------------------------------------------------------
@@ -221,11 +209,7 @@ RcWire RcNic::slice(const RcConn& conn, const OutMsg& msg, std::uint32_t offset,
   } else if (msg.kind == MsgKind::kReadRequest) {
     wire.place_addr = msg.remote_addr;  // remote source
   }
-  if (msg.data != nullptr) {
-    // HOT-OK(per-unit wire payload buffer; stack-level state outside the engine's tracked zero-alloc contract)
-    wire.data = std::make_shared<std::vector<std::byte>>(msg.data->begin() + offset,
-                                                         msg.data->begin() + offset + chunk);
-  }
+  wire.data = msg.data;
   return wire;
 }
 
@@ -321,7 +305,8 @@ void RcNic::handle_read_request(RcConn& conn, const RcWire& request) {
   response.len = request.read_len;
   response.remote_addr = request.read_sink_addr;
   response.rkey = request.read_sink_key;
-  response.data = snapshot(request.place_addr, request.read_len);
+  hw::AddressSpace& mem = node_->mem();
+  response.data = mem.snapshot(request.place_addr, request.read_len);
   send_message(conn, std::move(response));
 }
 
@@ -370,7 +355,7 @@ void RcNic::complete_placement(RcConn& conn, const RcWire& wire) {
   }
 
   if (wire.data != nullptr) {
-    node_->mem().write(addr, *wire.data);
+    node_->mem().write(addr, std::span(*wire.data).subspan(wire.msg_offset, wire.payload_len));
   } else if (hw::Buffer* buffer = node_->mem().find(addr);
              buffer == nullptr || addr + wire.payload_len > buffer->addr() + buffer->size()) {
     // HOT-OK(protocol-violation guard; unreachable in a conforming run)

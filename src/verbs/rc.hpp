@@ -77,7 +77,7 @@ struct OutMsg {
   std::uint64_t read_sink_addr = 0;  ///< requester-side sink (read only)
   MrKey read_sink_key = 0;
   std::uint32_t read_len = 0;
-  std::shared_ptr<std::vector<std::byte>> data;  ///< source snapshot, optional
+  hw::Snapshot data;  ///< source snapshot taken at post time, optional
 };
 
 /// The RC fields every wire unit carries (an iWARP DDP segment, an IB
@@ -88,7 +88,8 @@ struct RcWire {
   std::uint64_t place_addr = 0;  ///< tagged target of this unit; read source for a request
   std::uint64_t wr_id = 0;
   std::uint64_t read_sink_addr = 0;
-  std::shared_ptr<std::vector<std::byte>> data;  ///< payload slice, optional
+  hw::Snapshot data;  ///< the whole message's snapshot (optional); this unit
+                      ///< carries bytes [msg_offset, msg_offset + payload_len)
   int dst_conn_id = -1;
   std::uint32_t msg_len = 0;
   std::uint32_t msg_offset = 0;
@@ -201,7 +202,8 @@ class RcNic : public Device, public hw::FrameSink {
   /// Trace hook for a fully placed inbound message (tracer attached only).
   virtual void trace_placement(const RcWire& /*wire*/, std::uint64_t /*base*/) {}
 
-  /// The RC header of bytes [offset, offset + chunk) of `msg`.
+  /// The wire unit carrying bytes [offset, offset + chunk) of `msg`; it
+  /// shares the message's snapshot.
   static RcWire slice(const RcConn& conn, const OutMsg& msg, std::uint32_t offset,
                       std::uint32_t chunk);
   /// Push the success completion of a unit for which completes_send() holds.
@@ -241,7 +243,6 @@ class RcNic : public Device, public hw::FrameSink {
 
   Task<> post_send_impl(RcQp& qp, SendWr wr);
   Task<> post_recv_impl(RcQp& qp, RecvWr wr);
-  std::shared_ptr<std::vector<std::byte>> snapshot(std::uint64_t addr, std::uint32_t len);
   int new_conn(RcQp& qp);
   /// Assign the message id, track a read until its response lands, and
   /// hand the message to the transport.

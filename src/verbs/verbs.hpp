@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <span>
@@ -18,6 +17,7 @@
 #include "hw/cpu.hpp"
 #include "hw/memory.hpp"
 #include "sim/engine.hpp"
+#include "sim/ring.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
 
@@ -70,7 +70,7 @@ class CompletionQueue {
   std::optional<Completion> poll() {
     if (entries_.empty()) return std::nullopt;
     Completion completion = entries_.front();
-    entries_.pop_front();
+    entries_.pop();
     return completion;
   }
 
@@ -78,15 +78,14 @@ class CompletionQueue {
 
   /// Provider side: enqueue a completion and wake blocked pollers.
   void push(Completion completion) {
-    // HOT-OK(CQ append bounded by unpolled completions; std::deque mints a 512 B block per ~21 entries)
-    entries_.push_back(completion);
+    entries_.push(completion);
     notifier_.notify_all();
   }
 
   Notifier& notifier() { return notifier_; }
 
  private:
-  std::deque<Completion> entries_;
+  sim::Ring<Completion> entries_;  ///< keeps its capacity: a drained CQ stops allocating
   Notifier notifier_;
 };
 

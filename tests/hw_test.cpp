@@ -340,6 +340,94 @@ TEST(AddressSpace, BufferBelowLazyThresholdIsZeroedUpFront) {
   EXPECT_FALSE(mem.alloc(0).has_data());
 }
 
+TEST(AddressSpace, SnapshotCopiesTheRangeAsItIsNow) {
+  AddressSpace mem;
+  Buffer& buffer = mem.alloc(256);
+  for (std::size_t i = 0; i < buffer.size(); ++i) buffer.bytes()[i] = static_cast<std::byte>(i);
+  const Snapshot snap = mem.snapshot(buffer.addr() + 10, 100);
+  ASSERT_NE(snap, nullptr);
+  ASSERT_EQ(snap->size(), 100u);
+  EXPECT_EQ(std::memcmp(snap->data(), buffer.bytes().data() + 10, 100), 0);
+  // Later writes to the source do not reach a snapshot already taken.
+  std::fill(buffer.bytes().begin(), buffer.bytes().end(), std::byte{0xee});
+  EXPECT_EQ((*snap)[0], std::byte{10});
+  EXPECT_EQ((*snap)[99], std::byte{109});
+}
+
+TEST(AddressSpace, SnapshotOfSizeOnlyBufferIsNull) {
+  AddressSpace mem;
+  Buffer& buffer = mem.alloc(1 << 20, /*with_data=*/false);
+  EXPECT_EQ(mem.snapshot(buffer.addr(), 4096), nullptr);
+}
+
+TEST(AddressSpace, SnapshotOutsideAnyBufferThrows) {
+  AddressSpace mem;
+  Buffer& buffer = mem.alloc(64);
+  EXPECT_THROW(mem.snapshot(buffer.addr(), 65), std::out_of_range);
+  EXPECT_THROW(mem.snapshot(0xdeadbeef, 1), std::out_of_range);
+  Buffer& size_only = mem.alloc(64, /*with_data=*/false);
+  EXPECT_THROW(mem.snapshot(size_only.addr() + 32, 33), std::out_of_range);
+}
+
+TEST(AddressSpace, ReleasedSnapshotStorageIsReused) {
+  AddressSpace mem;
+  Buffer& buffer = mem.alloc(8192);
+  const std::byte* first = nullptr;
+  {
+    const Snapshot snap = mem.snapshot(buffer.addr(), 4096);
+    first = snap->data();
+  }
+  {
+    const Snapshot equal = mem.snapshot(buffer.addr(), 4096);
+    EXPECT_EQ(equal->data(), first) << "an equal request reuses the released vector";
+  }
+  const Snapshot smaller = mem.snapshot(buffer.addr() + 100, 1000);
+  EXPECT_EQ(smaller->data(), first) << "a smaller request reuses it too";
+  EXPECT_EQ(smaller->size(), 1000u);
+  EXPECT_EQ(std::memcmp(smaller->data(), buffer.bytes().data() + 100, 1000), 0);
+  // While that one is live, a second request gets storage of its own.
+  const Snapshot other = mem.snapshot(buffer.addr(), 16);
+  EXPECT_NE(other->data(), smaller->data());
+}
+
+TEST(AddressSpace, ReuseTakesTheSmallestFreeVectorThatFits) {
+  AddressSpace mem;
+  Buffer& buffer = mem.alloc(8192);
+  const std::byte* small_storage = nullptr;
+  const std::byte* large_storage = nullptr;
+  {
+    const Snapshot large = mem.snapshot(buffer.addr(), 8192);
+    const Snapshot small = mem.snapshot(buffer.addr(), 512);
+    large_storage = large->data();
+    small_storage = small->data();
+  }
+  const Snapshot fits_small = mem.snapshot(buffer.addr(), 256);
+  EXPECT_EQ(fits_small->data(), small_storage);
+  const Snapshot needs_large = mem.snapshot(buffer.addr(), 4096);
+  EXPECT_EQ(needs_large->data(), large_storage);
+}
+
+TEST(AddressSpace, SnapshotOutlivesItsAddressSpace) {
+  Snapshot survivor;
+  Snapshot released_later;
+  {
+    AddressSpace mem;
+    Buffer& buffer = mem.alloc(1024);
+    for (std::size_t i = 0; i < buffer.size(); ++i) {
+      buffer.bytes()[i] = static_cast<std::byte>(i * 7);
+    }
+    survivor = mem.snapshot(buffer.addr(), 1024);
+    released_later = mem.snapshot(buffer.addr() + 8, 8);
+  }
+  // The pool outlives the space: reading and releasing stay valid.
+  ASSERT_EQ(survivor->size(), 1024u);
+  for (std::size_t i = 0; i < survivor->size(); ++i) {
+    ASSERT_EQ((*survivor)[i], static_cast<std::byte>(i * 7)) << "byte " << i;
+  }
+  released_later.reset();
+  survivor.reset();
+}
+
 TEST(MemoryRegistry, RegisterLookupDeregister) {
   MemoryRegistry registry;
   const auto key = registry.register_region(0x1000, 8192);

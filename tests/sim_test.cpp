@@ -2,12 +2,14 @@
 // primitives, and timed resources.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "sim/engine.hpp"
 #include "sim/random.hpp"
 #include "sim/resource.hpp"
+#include "sim/ring.hpp"
 #include "sim/stats.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
@@ -30,6 +32,45 @@ TEST(Rate, BandwidthMath) {
   const Rate ten_gig = Rate::gbit_per_sec(10.0);  // 1250 MB/s => 0.8 ns/byte
   EXPECT_EQ(ten_gig.bytes_time(1000), ns(800));
   EXPECT_NEAR(ten_gig.mb_per_sec_value(), 1250.0, 1e-9);
+}
+
+TEST(Ring, FifoOrderSurvivesWrapAndGrowth) {
+  sim::Ring<int> ring;
+  EXPECT_TRUE(ring.empty());
+  int next_in = 0;
+  int next_out = 0;
+  // Wrap the head around the initial buffer, then grow it while wrapped.
+  for (int i = 0; i < 10; ++i) ring.push(next_in++);
+  for (int i = 0; i < 7; ++i) {
+    EXPECT_EQ(ring.front(), next_out++);
+    ring.pop();
+  }
+  for (int i = 0; i < 40; ++i) ring.push(next_in++);
+  ASSERT_EQ(ring.size(), 43u);
+  EXPECT_EQ(ring.back(), next_in - 1);
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    EXPECT_EQ(ring[i], next_out + static_cast<int>(i));
+  }
+  int expected = next_out;
+  for (const int value : ring) EXPECT_EQ(value, expected++);
+  while (!ring.empty()) {
+    EXPECT_EQ(ring.front(), next_out++);
+    ring.pop();
+  }
+  EXPECT_EQ(next_out, next_in);
+}
+
+TEST(Ring, PopAndClearReleaseWhatTheElementOwns) {
+  auto owned = std::make_shared<int>(7);
+  sim::Ring<std::shared_ptr<int>> ring;
+  ring.push(owned);
+  ring.push(owned);
+  EXPECT_EQ(owned.use_count(), 3);
+  ring.pop();
+  EXPECT_EQ(owned.use_count(), 2) << "a popped slot must not keep its element alive";
+  ring.clear();
+  EXPECT_EQ(owned.use_count(), 1);
+  EXPECT_TRUE(ring.empty());
 }
 
 TEST(Engine, SleepAdvancesTime) {

@@ -23,6 +23,24 @@ TEST(CompletionQueue, PollFifoOrder) {
   EXPECT_FALSE(cq.poll().has_value());
 }
 
+TEST(CompletionQueue, StaysFifoAcrossWrapAndGrowth) {
+  Engine engine;
+  CompletionQueue cq(engine);
+  std::uint64_t pushed = 0;
+  std::uint64_t polled = 0;
+  // Interleave pushes and polls so the ring wraps, then let it grow.
+  for (int round = 0; round < 6; ++round) {
+    for (int i = 0; i < 5 + 7 * round; ++i) {
+      cq.push(Completion{pushed++, Completion::Type::kSend, 0, 0});
+    }
+    for (int i = 0; i < 4; ++i) EXPECT_EQ(cq.poll()->wr_id, polled++);
+  }
+  EXPECT_EQ(cq.depth(), pushed - polled);
+  while (auto completion = cq.poll()) EXPECT_EQ(completion->wr_id, polled++);
+  EXPECT_EQ(polled, pushed);
+  EXPECT_EQ(cq.depth(), 0u);
+}
+
 TEST(CompletionQueue, NextCompletionBlocksUntilPush) {
   Engine engine;
   CompletionQueue cq(engine);
