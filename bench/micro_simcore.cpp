@@ -94,7 +94,7 @@ void BM_EventQueueThroughputProfiled(benchmark::State& state) {
   Profiler profiler(Profiler::Config{.sample_stride = 16, .max_slices = 0});
   for (auto _ : state) {
     Engine engine;
-    engine.set_profiler(&profiler);
+    engine.attach(profiler);
     std::uint64_t sink = 0;
     for (int i = 0; i < 10000; ++i) {
       engine.post(static_cast<Time>(i), [&sink, i] { sink += static_cast<std::uint64_t>(i); });

@@ -39,10 +39,10 @@ int main() {
   row(report, "MXoM", 3.05, userlevel_pingpong_latency_us(mom, 4), "us");
 
   std::printf("-- user-level one-way bandwidth (4 MB)\n");
-  row(report, "iWARP (83%% of internal PCI-X)", 880, userlevel_bandwidth_mbps(iw, 4 << 20, 4),
+  row(report, "iWARP (83% of internal PCI-X)", 880, userlevel_bandwidth_mbps(iw, 4 << 20, 4),
       "MB/s");
-  row(report, "IB (97%% of 1 GB/s)", 970, userlevel_bandwidth_mbps(ib, 4 << 20, 4), "MB/s");
-  row(report, "Myri-10G (<=75%% of 10G)", 930, userlevel_bandwidth_mbps(mom, 4 << 20, 4), "MB/s");
+  row(report, "IB (97% of 1 GB/s)", 970, userlevel_bandwidth_mbps(ib, 4 << 20, 4), "MB/s");
+  row(report, "Myri-10G (<=75% of 10G)", 930, userlevel_bandwidth_mbps(mom, 4 << 20, 4), "MB/s");
 
   std::printf("-- MPI short-message latency (4 B)\n");
   {
@@ -52,7 +52,7 @@ int main() {
       const NetworkProfile* p;
       Network n;
     } cases[] = {{"iWARP MPI", 10.7, &iw, Network::kIwarp},
-                 {"IB ()", 4.8, &ib, Network::kIb},
+                 {"IB (MVAPICH)", 4.8, &ib, Network::kIb},
                  {"MXoE (MPICH-MX)", 3.6, &moe, Network::kMxoe},
                  {"MXoM (MPICH-MX)", 3.3, &mom, Network::kMxom}};
     for (const auto& c : cases) {
@@ -67,11 +67,11 @@ int main() {
   std::printf("-- MPI peak bandwidths (1 MB)\n");
   row(report, "iWARP bidirectional", 856, mpi_bidir_bw_mbps(iw, 1 << 20, 8), "MB/s");
   row(report, "IB bidirectional", 960, mpi_bidir_bw_mbps(ib, 1 << 20, 8), "MB/s");
-  row(report, "iWARP both-way (89%% of PCI-X)", 950, mpi_bothway_bw_mbps(iw, 1 << 20, 12, 3),
+  row(report, "iWARP both-way (89% of PCI-X)", 950, mpi_bothway_bw_mbps(iw, 1 << 20, 12, 3),
       "MB/s");
-  row(report, "IB both-way (89%% of 2 GB/s)", 1780, mpi_bothway_bw_mbps(ib, 1 << 20, 12, 3),
+  row(report, "IB both-way (89% of 2 GB/s)", 1780, mpi_bothway_bw_mbps(ib, 1 << 20, 12, 3),
       "MB/s");
-  row(report, "Myri both-way (~70%% of 2 GB/s)", 1400, mpi_bothway_bw_mbps(mom, 1 << 20, 12, 3),
+  row(report, "Myri both-way (~70% of 2 GB/s)", 1400, mpi_bothway_bw_mbps(mom, 1 << 20, 12, 3),
       "MB/s");
 
   std::printf("-- buffer re-use latency ratio peaks (Fig 6)\n");

@@ -20,10 +20,11 @@ using namespace fabsim::core;
 int main(int argc, char** argv) {
   const char* path = argc > 1 ? argv[1] : "trace_export.json";
 
+  // The profiler outlives the cluster, whose engine detaches it on death.
+  Profiler profiler(Profiler::Config{.sample_stride = 1});  // every dispatch: short run
   Cluster cluster(2, Network::kIwarp);
   Tracer tracer;
   MetricRegistry metrics;
-  Profiler profiler(Profiler::Config{.sample_stride = 1});  // every dispatch: short run
   cluster.engine().set_tracer(&tracer);
   cluster.engine().set_metrics(&metrics);
   cluster.attach_profiler(profiler);

@@ -11,7 +11,8 @@ compiling:
 Pass A - definitions. Parse every function definition in src/ (both
     `Type Class::method(...) {` out-of-line forms and inline bodies in
     class definitions) and record its FABSIM_HOT / FABSIM_COLD
-    annotation (src/sim/hot.hpp), file/line, and body span.
+    annotation (src/sim/hot.hpp), file/line, and body span. Macro
+    bodies (#define) are masked out first; they define no functions.
 
 Pass B - roots. The hot set is seeded by `Engine::dispatch` (the loop
     body every event funnels through), every FABSIM_HOT-annotated
@@ -24,9 +25,11 @@ Pass C - reachability. From each root, walk the call graph: bare calls
     call may dispatch virtually) then free functions;
     `obj.method(` / `obj->method(` calls resolve the receiver's declared
     type from function locals/parameters or the enclosing class's member
-    declarations, then its base classes; a receiver reached through a
+    declarations, then its base classes (and, through an EngineObserver,
+    every override in the tree); a receiver reached through a
     member chain (`conn.peer->method(`) is typed as that member of the
-    chain's own type first. FABSIM_COLD stops the walk
+    chain's own type first; a FABSIM_AUDIT_* trap is a call to the
+    Engine method it expands to. FABSIM_COLD stops the walk
     (error/teardown paths are exempt); unresolvable calls are recorded in
     the report, never guessed. The walk is depth-limited (--max-depth,
     default 4).
@@ -114,6 +117,15 @@ FINDING_RULES = [
     ("hot_throw", re.compile(r"(?<![\w_])throw\b"), False),
 ]
 MUTATION_SEAM = re.compile(r"FABSIM_MUTATION_HOTALLOC\s*\(")
+# Interfaces the dispatch loop calls through a base pointer: a call
+# through one reaches every override in the tree, so no observer can
+# escape the purity rules by being attached at run time.
+VIRTUAL_SEAMS = {"EngineObserver"}
+# Trap macros (src/sim/scope.hpp) and the Engine method each expands to.
+MACRO_CALLS = {"FABSIM_AUDIT_OWNED": "Engine::audit_owned",
+               "FABSIM_AUDIT_SHARED": "Engine::audit_shared"}
+# A preprocessor definition, backslash continuations included.
+DEFINE = re.compile(r"^[ \t]*#[ \t]*define\b(?:[^\n]*\\\n)*[^\n]*", re.M)
 
 
 class ClassInfo:
@@ -209,6 +221,8 @@ def collect_functions(src, classes):
                 break
             if c == "(":  # e.g. `foo(...)(...)` call chains
                 break
+            if c == ")":  # a call closing a condition: `for (x : f()) {`
+                break
             i += 1
         if body_start < 0:
             continue
@@ -226,13 +240,14 @@ def collect_functions(src, classes):
     return funcs
 
 
-# Declaration of `name` as a typed local/parameter/member. Loose type
-# group; the trailing identifier chain is what receiver typing needs.
+# Declaration of `name` as a typed local/parameter/member (or range-for
+# variable). Loose type group; the trailing identifier chain is what
+# receiver typing needs.
 def find_decl_type(text, name):
     decl = re.compile(
         r"(?:^|[(,;{]|\bconst\s)\s*"
         r"((?:const\s+)?[A-Za-z_][\w:]*(?:<[^;{}]*?>)?(?:\s*const)?[\s*&]+)"
-        rf"{re.escape(name)}\s*(?:=|;|,|\)|\{{|\[)", re.M)
+        rf"{re.escape(name)}\s*(?:=|;|,|\)|\{{|\[|:(?!:))", re.M)
     last = None
     for m in decl.finditer(text):
         type_text = m.group(1)
@@ -276,10 +291,11 @@ class Analyzer:
     def load(self):
         src_root = os.path.join(self.root, "src")
         for path in source_files(src_root):
-            rel = os.path.relpath(path, self.root)
-            if rel.replace(os.sep, "/") == "src/sim/hot.hpp":
-                continue  # the marker definitions themselves
             src = SourceFile(path, self.root)
+            # Macro bodies are not function definitions (nor annotations:
+            # `#define FABSIM_HOT` must not mark what follows it).
+            src.masked = DEFINE.sub(lambda m: re.sub(r"[^\n]", " ", m.group(0)),
+                                    src.masked)
             self.sources.append(src)
             classes = collect_classes(src)
             self.classes_by_src[src.path] = classes
@@ -381,6 +397,9 @@ class Analyzer:
             receiver = m.group(1)
             if receiver in ("std", "fabsim"):
                 continue
+            if callee in MACRO_CALLS:
+                out.extend(self.funcs_by_key.get(MACRO_CALLS[callee], []))
+                continue
             if receiver is None or receiver == "this":
                 hits = self.lookup(cls_name, callee, virtual=True)
                 if hits:
@@ -389,7 +408,8 @@ class Analyzer:
                     self.unresolved[callee] = self.unresolved.get(callee, 0) + 1
                 continue
             recv_cls = self.receiver_class(body, m.start(1), receiver, cls_name, func_text)
-            hits = self.lookup(recv_cls, callee, free=False) if recv_cls else None
+            hits = self.lookup(recv_cls, callee, free=False,
+                               virtual=recv_cls in VIRTUAL_SEAMS) if recv_cls else None
             if hits:
                 out.extend(hits)
             else:

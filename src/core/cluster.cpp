@@ -45,12 +45,12 @@ check::InvariantMonitor& Cluster::enable_checks(bool fatal) {
     // the static scope_check.py verdicts. Violations flow through the
     // monitor, so fatal/counting behaviour matches the other audits.
     owned_auditor_ = std::make_unique<scope::ScopeAuditor>(owned_monitor_.get());
-    attach_scope_auditor(*owned_auditor_);
+    engine_.attach(*owned_auditor_);
     // Dynamic half of FabricHot-Check: corroborate the static
     // hotpath_check.py verdicts — zero tracked allocations per
     // dispatched event (amortized queue growth excused) on live traffic.
     owned_hot_auditor_ = std::make_unique<hot::HotpathAuditor>(owned_monitor_.get());
-    attach_hotpath_auditor(*owned_hot_auditor_);
+    engine_.attach(*owned_hot_auditor_);
   }
   return *owned_monitor_;
 }
@@ -144,8 +144,10 @@ void Cluster::collect_metrics(MetricRegistry& registry) {
   registry.counter("sim.events").set(engine_.events_processed());
   registry.counter("sim.digest").set(engine_.run_digest());
 
-  // FabricProf: host-side dispatch/queue/alloc profile, when attached.
-  if (const Profiler* profiler = engine_.profiler()) profiler->publish(registry);
+  // Attached observers: FabricProf's prof.*, FabricScope-Check's
+  // scope.* and FabricHot-Check's hot.* (a zero *.checks with an auditor
+  // on means its hooks never ran).
+  for (const EngineObserver* observer : engine_.observers()) observer->publish(registry);
 
   // FabricCheck: violation totals, plus one counter per (layer, rule).
   // Tallied into a local map first so repeated collect_metrics calls
@@ -157,21 +159,6 @@ void Cluster::collect_metrics(MetricRegistry& registry) {
       ++by_rule[std::string("check.") + check::layer_name(v.layer) + "." + v.rule];
     }
     for (const auto& [name, count] : by_rule) registry.counter(name).set(count);
-  }
-
-  // FabricScope-Check: dynamic scope-audit coverage, when attached. A
-  // zero scope.checks with the auditor on means the traps never ran —
-  // as suspicious as a violation for the parallel-engine gate.
-  if (const scope::ScopeAuditor* auditor = engine_.scope_auditor()) {
-    registry.counter("scope.checks").set(auditor->checks());
-    registry.counter("scope.violations").set(auditor->violations());
-  }
-
-  // FabricHot-Check: dynamic allocation-budget coverage, when attached —
-  // same zero-checks-is-suspicious logic as the scope auditor.
-  if (const hot::HotpathAuditor* auditor = engine_.hotpath_auditor()) {
-    registry.counter("hot.checks").set(auditor->checks());
-    registry.counter("hot.violations").set(auditor->violations());
   }
 
   // Fabric: per-switch, per-port serialization busy time -> utilization,

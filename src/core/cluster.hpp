@@ -67,10 +67,11 @@ class Cluster {
   /// when a monitor is attached, the check.* violation counters.
   void collect_metrics(MetricRegistry& registry);
 
-  /// FabricProf: attach a caller-owned host-time profiler to the engine.
-  /// collect_metrics() then publishes its prof.* taxonomy alongside the
-  /// simulated counters. Detached automatically when the engine dies.
-  void attach_profiler(Profiler& profiler) { engine_.set_profiler(&profiler); }
+  /// FabricProf: attach a caller-owned host-time profiler to the engine
+  /// (shorthand for engine().attach(profiler)). collect_metrics() then
+  /// publishes its prof.* taxonomy alongside the simulated counters.
+  /// Detached automatically when the engine dies.
+  void attach_profiler(Profiler& profiler) { engine_.attach(profiler); }
 
   /// FabricCheck: attach a caller-owned protocol-invariant monitor. Wires
   /// it into the engine (hot-path audits in every stack pick it up from
@@ -83,34 +84,16 @@ class Cluster {
   /// Convenience: build and attach an owned monitor (counting mode by
   /// default so production runs survive a violation; the records and
   /// check.* counters still surface it). Also builds and attaches an
-  /// owned ScopeAuditor wired to the monitor, so every FABSIM_CHECK bench
-  /// cross-checks the static scope_check.py verdicts on live traffic.
-  /// Builds configured with -DFABSIM_CHECK=ON call this from the
-  /// constructor.
+  /// owned ScopeAuditor and HotpathAuditor wired to the monitor, so every
+  /// FABSIM_CHECK bench cross-checks the static scope_check.py and
+  /// hotpath_check.py verdicts on live traffic. Builds configured with
+  /// -DFABSIM_CHECK=ON call this from the constructor.
   check::InvariantMonitor& enable_checks(bool fatal = false);
-
-  /// FabricScope-Check: attach a caller-owned runtime scope auditor. The
-  /// engine brackets every dispatched event with its scope label and the
-  /// annotated stacks trap mismatched-state access (src/sim/scope.hpp).
-  void attach_scope_auditor(scope::ScopeAuditor& auditor) {
-    engine_.set_scope_auditor(&auditor);
-  }
-
-  /// FabricHot-Check: attach a caller-owned runtime hot-path auditor. The
-  /// engine brackets every dispatched event and traps tracked allocation
-  /// over the per-event budget (src/sim/hot.hpp).
-  void attach_hotpath_auditor(hot::HotpathAuditor& auditor) {
-    engine_.set_hotpath_auditor(&auditor);
-  }
-
-  check::InvariantMonitor* monitor() { return engine_.monitor(); }
-  scope::ScopeAuditor* scope_auditor() { return engine_.scope_auditor(); }
-  hot::HotpathAuditor* hotpath_auditor() { return engine_.hotpath_auditor(); }
 
  private:
   NetworkProfile profile_;
   // The owned checkers are declared before engine_ so they outlive it:
-  // ~Engine calls hot_auditor_->on_detach(), and members die in reverse
+  // ~Engine detaches its observers, and members die in reverse
   // declaration order.
   std::unique_ptr<check::InvariantMonitor> owned_monitor_;
   std::unique_ptr<scope::ScopeAuditor> owned_auditor_;

@@ -1,6 +1,8 @@
 #include "sim/engine.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <ranges>
 #include <stdexcept>
 #include <string>
 
@@ -29,22 +31,30 @@ Engine::~Engine() {
   for (void* address : drivers_) {  // NOLINT(unordered-iteration)
     std::coroutine_handle<>::from_address(address).destroy();
   }
-  // Dying with a profiler or hot auditor attached must not leave the
-  // global allocation seam armed for whatever engine comes next.
-  if (profiler_ != nullptr) profiler_->on_detach();
-  if (hot_auditor_ != nullptr) hot_auditor_->on_detach();
+  // Dying with observers attached must not leave the global allocation
+  // seam armed for whatever engine comes next.
+  for (EngineObserver* observer : std::views::reverse(observers_)) observer->on_detach();
 }
 
-void Engine::set_profiler(Profiler* profiler) {
-  if (profiler_ != nullptr) profiler_->on_detach();
-  profiler_ = profiler;
-  if (profiler_ != nullptr) profiler_->on_attach();
+void Engine::attach(EngineObserver& observer) {
+  if (std::ranges::find(observers_, &observer) != observers_.end()) return;
+  observers_.push_back(&observer);
+  observer.on_attach();
 }
 
-void Engine::set_hotpath_auditor(hot::HotpathAuditor* auditor) {
-  if (hot_auditor_ != nullptr) hot_auditor_->on_detach();
-  hot_auditor_ = auditor;
-  if (hot_auditor_ != nullptr) hot_auditor_->on_attach();
+void Engine::detach(EngineObserver& observer) {
+  const auto it = std::ranges::find(observers_, &observer);
+  if (it == observers_.end()) return;
+  observers_.erase(it);
+  observer.on_detach();
+}
+
+FABSIM_HOT void Engine::observe_post(std::uint64_t growths) {
+  if (growths > 0) {
+    event_growth_ += growths;
+    for (EngineObserver* observer : observers_) observer->on_queue_growth(growths);
+  }
+  for (EngineObserver* observer : observers_) observer->on_post(queue_.size());
 }
 
 FABSIM_COLD void Engine::report_past_post(Time at) {
@@ -125,7 +135,7 @@ FABSIM_HOT Engine::Item Engine::pop_next() {
   const Time head = queue_.top().at;
   ready_.clear();
   while (!queue_.empty() && queue_.top().at == head) {
-    if (profiler_ != nullptr) profiler_->on_dequeue(queue_.size());
+    for (EngineObserver* observer : observers_) observer->on_dequeue(queue_.size());
     // HOT-OK(policy materialization scratch; member capacity reused across calls)
     ready_.push_back(queue_.pop_top());
   }
@@ -146,9 +156,10 @@ FABSIM_HOT Engine::Item Engine::pop_next() {
           queue_.push(ready_[i].at, ready_[i].seq, ready_[i].scope, std::move(ready_[i].fn));
       // Outside the dispatch bracket, so growth here is counted but
       // never charged against (nor excused from) the per-event budget.
-      if (growths > 0 && profiler_ != nullptr)
-        profiler_->on_queue_growth(static_cast<std::uint64_t>(growths));
-      if (profiler_ != nullptr) profiler_->on_requeue(queue_.size());
+      for (EngineObserver* observer : observers_) {
+        if (growths > 0) observer->on_queue_growth(static_cast<std::uint64_t>(growths));
+        observer->on_requeue(queue_.size());
+      }
     }
   }
   ready_.clear();
@@ -163,7 +174,7 @@ FABSIM_HOT Engine::Item Engine::pop_next() {
 // ready_), which is fine: schedule exploration is not a perf path.
 void Engine::step() {
   if (policy_ == nullptr) {
-    if (profiler_ != nullptr) profiler_->on_dequeue(queue_.size());
+    for (EngineObserver* observer : observers_) observer->on_dequeue(queue_.size());
     const EventQueue::Key key = queue_.pop_key();
     account_event(key.at, key.seq);
     dispatch(key.scope, queue_.payload(key.slot));
@@ -177,16 +188,20 @@ void Engine::step() {
 }
 
 void Engine::run() {
-  if (profiler_ != nullptr) profiler_->on_run_begin(events_processed_);
+  for (EngineObserver* observer : observers_) observer->on_run_begin(events_processed_);
   while (!queue_.empty()) step();
-  if (profiler_ != nullptr) profiler_->on_run_end(events_processed_);
+  for (EngineObserver* observer : std::views::reverse(observers_)) {
+    observer->on_run_end(events_processed_);
+  }
   on_drain();
 }
 
 void Engine::run_until(Time t) {
-  if (profiler_ != nullptr) profiler_->on_run_begin(events_processed_);
+  for (EngineObserver* observer : observers_) observer->on_run_begin(events_processed_);
   while (!queue_.empty() && queue_.top().at <= t) step();
-  if (profiler_ != nullptr) profiler_->on_run_end(events_processed_);
+  for (EngineObserver* observer : std::views::reverse(observers_)) {
+    observer->on_run_end(events_processed_);
+  }
   if (t > now_) now_ = t;
 }
 

@@ -19,12 +19,14 @@
 #include <exception>
 #include <functional>
 #include <memory>
+#include <ranges>
 #include <unordered_set>
 #include <vector>
 
 #include "sim/hot.hpp"
 #include "sim/inplace_fn.hpp"
 #include "sim/metrics.hpp"
+#include "sim/observer.hpp"
 #include "sim/prof.hpp"
 #include "sim/schedule.hpp"
 #include "sim/scope.hpp"
@@ -131,14 +133,10 @@ class Engine {
     // Amortized backing-store growth is the one allocation class the
     // zero-alloc dispatch contract permits: push() reports how many
     // tracked allocations it performed (key heap, payload slab, free-list
-    // reserve — 0 in steady state), so the hot auditor's per-event budget
-    // and the profiler's allocs_per_event exclude exactly those.
+    // reserve — 0 in steady state), and dispatch() excuses exactly those
+    // in the EventAllocs it hands the observers.
     const int growths = queue_.push(at, next_seq_++, scope, std::move(fn));
-    if (growths > 0) {
-      if (profiler_ != nullptr) profiler_->on_queue_growth(static_cast<std::uint64_t>(growths));
-      if (hot_auditor_ != nullptr) hot_auditor_->excuse_growth(static_cast<std::uint64_t>(growths));
-    }
-    if (profiler_ != nullptr) profiler_->on_post(queue_.size());
+    if (!observers_.empty()) observe_post(static_cast<std::uint64_t>(growths));
   }
 
   /// Schedule a coroutine resumption at absolute time `at`.
@@ -229,35 +227,23 @@ class Engine {
   check::InvariantMonitor* monitor() { return monitor_; }
   void set_monitor(check::InvariantMonitor* monitor) { monitor_ = monitor; }
 
-  /// Optional FabricProf host-time profiler (null when profiling is
-  /// off). Caller-owned, like the tracer; the dispatch loop and post()
-  /// guard on this pointer, so a detached profiler costs one branch per
-  /// event and the simulated timeline stays byte-identical (pinned by
-  /// tests). Attaching enables the counting-allocator seam; detaching
-  /// (or destroying the engine) disables it.
-  Profiler* profiler() { return profiler_; }
-  void set_profiler(Profiler* profiler);
+  /// Attach a caller-owned EngineObserver (src/sim/observer.hpp): the
+  /// Profiler, the scope and hot-path auditors, or any other watcher.
+  /// Attaching twice is a no-op. The engine's death detaches every
+  /// observer still attached.
+  void attach(EngineObserver& observer);
+  void detach(EngineObserver& observer);
+  const std::vector<EngineObserver*>& observers() const { return observers_; }
 
-  /// Optional FabricScope-Check runtime auditor (null when auditing is
-  /// off). Caller-owned, like the tracer. The dispatch loop brackets
-  /// every event with the scope label it was posted under; annotated
-  /// state entry points (FABSIM_AUDIT_OWNED / FABSIM_AUDIT_SHARED) trap
-  /// accesses whose ownership contradicts that label. Never posts or
-  /// reorders events, so an attached auditor leaves run_digest()
-  /// byte-identical (pinned by tests/scope_test.cpp).
-  scope::ScopeAuditor* scope_auditor() { return scope_auditor_; }
-  void set_scope_auditor(scope::ScopeAuditor* auditor) { scope_auditor_ = auditor; }
-
-  /// Optional FabricHot-Check runtime auditor (null when auditing is
-  /// off). Caller-owned, like the tracer. The dispatch loop brackets
-  /// every event; the auditor charges tracked allocations during the
-  /// callback against a per-event budget (default 0), with the queue's
-  /// own amortized growth excused. Attaching arms the refcounted
-  /// counting-allocator seam; never posts or reorders events, so an
-  /// attached auditor leaves run_digest() byte-identical (pinned by
-  /// tests/hotpath_test.cpp).
-  hot::HotpathAuditor* hotpath_auditor() { return hot_auditor_; }
-  void set_hotpath_auditor(hot::HotpathAuditor* auditor);
+  /// FABSIM_AUDIT_OWNED / FABSIM_AUDIT_SHARED (src/sim/scope.hpp): tell
+  /// the observers that state owned by one node, or shared across
+  /// nodes, is being touched by the dispatching event.
+  void audit_owned(check::Layer layer, int owner_node, const char* what) {
+    for (EngineObserver* observer : observers_) observer->owned_access(layer, owner_node, what);
+  }
+  void audit_shared(check::Layer layer, int node, const char* what) {
+    for (EngineObserver* observer : observers_) observer->shared_access(layer, node, what);
+  }
 
   /// Test-only: arm the FABSIM_MUTATION_HOTALLOC seam so the dispatch
   /// path performs one deliberate tracked allocation per event — the
@@ -437,26 +423,27 @@ class Engine {
   /// slab without a SchedulePolicy; via a materialized Item with one),
   /// then surface any deferred exception.
   void step();
-  /// Run one event's callback, wrapped in the profiler's sampled
-  /// host-time measurement and the hot/scope auditors' event brackets
-  /// when they are attached. This is the hot-path root: everything it
+  /// Run one event's callback. With observers attached, brackets it
+  /// with their begin/end hooks and measures its tracked allocations
+  /// once for all of them. This is the hot-path root: everything it
   /// reaches is subject to the FabricHot-Check purity rules
   /// (scripts/hotpath_check.py walks the call graph from here).
   FABSIM_HOT void dispatch(int scope, sim::EventFn& fn) {
-    if (scope_auditor_ != nullptr) scope_auditor_->begin_event(now_, scope);
-    if (hot_auditor_ != nullptr) hot_auditor_->begin_event(now_);
-    if (profiler_ != nullptr) profiler_->begin_event_allocs();
-    FABSIM_MUTATION_HOTALLOC(mutation_hotalloc_);
-    if (profiler_ != nullptr && profiler_->begin_dispatch(now_, scope)) {
+    if (observers_.empty()) {
       fn();
-      profiler_->end_dispatch();
-    } else {
-      fn();
+      return;
     }
-    if (profiler_ != nullptr) profiler_->end_event_allocs();
-    if (hot_auditor_ != nullptr) hot_auditor_->end_event();
-    if (scope_auditor_ != nullptr) scope_auditor_->end_event();
+    for (EngineObserver* observer : observers_) observer->begin_event(now_, scope);
+    const std::uint64_t allocs_at_begin = prof::alloc_stats().allocs;
+    event_growth_ = 0;
+    FABSIM_MUTATION_HOTALLOC(mutation_hotalloc_);
+    fn();
+    const EventAllocs allocs{prof::alloc_stats().allocs - allocs_at_begin, event_growth_};
+    for (EngineObserver* observer : std::views::reverse(observers_)) observer->end_event(allocs);
   }
+  /// Observer side of post(): queue growth (excused if inside dispatch)
+  /// and depth. Out of line, so post() inlines only the empty() branch.
+  void observe_post(std::uint64_t growths);
   /// Digest + monotonicity + bookkeeping for one popped event.
   void account_event(Time at, std::uint64_t seq);
   /// Misuse diagnostic for a post() into the past — out of line so the
@@ -482,10 +469,9 @@ class Engine {
   MetricRegistry* metrics_ = nullptr;
   fault::FaultInjector* fault_injector_ = nullptr;
   check::InvariantMonitor* monitor_ = nullptr;
-  Profiler* profiler_ = nullptr;
-  scope::ScopeAuditor* scope_auditor_ = nullptr;
-  hot::HotpathAuditor* hot_auditor_ = nullptr;
   SchedulePolicy* policy_ = nullptr;
+  std::vector<EngineObserver*> observers_;
+  std::uint64_t event_growth_ = 0;  ///< queue growth inside the dispatching event
   bool mutation_hotalloc_ = false;
 };
 

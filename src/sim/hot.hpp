@@ -28,26 +28,25 @@
 //     written rationale, recorded in results/hotpath_report.json.
 //
 //  2. *Dynamic corroboration* — a HotpathAuditor attached to the Engine
-//     like the Tracer / InvariantMonitor / Profiler (caller-owned
-//     pointer, one guarded branch when detached). The dispatch loop
-//     brackets every event with begin_event/end_event; the auditor
-//     snapshots the prof::CountingAllocator global tally at entry and
-//     charges any tracked allocation during the callback against a
-//     per-event budget (default 0). The Engine excuses the amortized
-//     growth of its own event-queue storage (a doubling reallocation is
-//     the one allocation the zero-alloc contract permits) via
-//     excuse_growth(); everything else over budget is reported through
-//     the InvariantMonitor as a `hot_alloc_budget` violation, so every
-//     FABSIM_CHECK bench cross-checks the static verdicts on real
-//     traffic. Attaching the auditor never posts events or advances
-//     time: run digests stay byte-identical (pinned by
-//     tests/hotpath_test.cpp).
+//     as an EngineObserver (src/sim/observer.hpp). The dispatch loop
+//     measures each event's prof::CountingAllocator traffic and hands
+//     it to end_event(); the auditor charges it against a per-event
+//     budget (default 0). The Engine excuses the amortized growth of its
+//     own event-queue storage (a doubling reallocation is the one
+//     allocation the zero-alloc contract permits); everything else over
+//     budget is reported through the InvariantMonitor as a
+//     `hot_alloc_budget` violation, so every FABSIM_CHECK bench
+//     cross-checks the static verdicts on real traffic. Attaching the
+//     auditor never posts events or advances time: run digests stay
+//     byte-identical (pinned by tests/hotpath_test.cpp).
 #pragma once
 
 #include <cstdint>
 #include <string>
 
 #include "check/invariant.hpp"
+#include "sim/metrics.hpp"
+#include "sim/observer.hpp"
 #include "sim/prof.hpp"
 #include "sim/time.hpp"
 
@@ -76,64 +75,49 @@
 namespace fabsim::hot {
 
 /// Runtime per-dispatch allocation budget auditor. Attach with
-/// Engine::set_hotpath_auditor(); violations are funnelled through an
+/// Engine::attach(); violations are funnelled through an
 /// InvariantMonitor when one is set (counting-mode FABSIM_CHECK runs
 /// surface them as check.sim.hot_alloc_budget counters, gated by
 /// scripts/assert_clean.py); without a monitor the auditor throws
 /// check::InvariantViolationError directly.
-class HotpathAuditor {
+class HotpathAuditor final : public EngineObserver {
  public:
   explicit HotpathAuditor(check::InvariantMonitor* monitor = nullptr,
                           std::uint64_t allocs_per_event_budget = 0)
       : monitor_(monitor), budget_(allocs_per_event_budget) {}
 
-  void set_monitor(check::InvariantMonitor* monitor) { monitor_ = monitor; }
-
-  /// Engine attach/detach hooks: the allocation tally behind
-  /// prof::CountingAllocator is armed only while someone watches it
-  /// (refcounted, so the auditor and a Profiler can co-exist).
-  void on_attach() {
+  /// The allocation tally behind prof::CountingAllocator is armed only
+  /// while someone watches it (refcounted, so the auditor and a Profiler
+  /// can co-exist).
+  void on_attach() override {
     if (attached_) return;
     attached_ = true;
     prof::acquire_alloc_tracking();
   }
-  void on_detach() {
+  void on_detach() override {
     if (!attached_) return;
     attached_ = false;
     prof::release_alloc_tracking();
-    active_ = false;
   }
 
-  // Engine dispatch hooks.
-  void begin_event(Time at) {
-    at_ = at;
-    allocs_at_begin_ = prof::alloc_stats().allocs;
-    excused_ = 0;
-    active_ = true;
-  }
-  /// The Engine's event-queue storage is about to grow (amortized
-  /// doubling): excuse that many tracked allocations from this event's
-  /// budget — the one heap touch the zero-alloc contract permits.
-  void excuse_growth(std::uint64_t allocs) {
-    if (active_) excused_ += allocs;
-  }
-  void end_event() {
-    if (!active_) return;
-    active_ = false;
+  void begin_event(Time at, int /*scope*/) override { at_ = at; }
+  void end_event(const EventAllocs& allocs) override {
     ++checks_;
-    const std::uint64_t delta = prof::alloc_stats().allocs - allocs_at_begin_;
-    if (delta > excused_ + budget_) {
-      violation(delta - excused_);
-    }
+    if (allocs.allocs > allocs.excused + budget_) violation(allocs.allocs - allocs.excused);
   }
 
-  bool active() const { return active_; }
-  std::uint64_t budget() const { return budget_; }
+  /// hot.checks / hot.violations — a zero hot.checks with the auditor
+  /// on means no event was bracketed.
+  void publish(MetricRegistry& registry) const override {
+    registry.counter("hot.checks").set(checks_);
+    registry.counter("hot.violations").set(violations_);
+  }
+
   std::uint64_t checks() const { return checks_; }
   std::uint64_t violations() const { return violations_; }
 
  private:
-  void violation(std::uint64_t unexcused) {
+  FABSIM_COLD void violation(std::uint64_t unexcused) {
     ++violations_;
     std::string detail = "event dispatched " + std::to_string(unexcused) +
                          " tracked allocation(s); the hot-path budget is " +
@@ -151,10 +135,7 @@ class HotpathAuditor {
   check::InvariantMonitor* monitor_ = nullptr;
   std::uint64_t budget_ = 0;
   bool attached_ = false;
-  bool active_ = false;
   Time at_ = 0;
-  std::uint64_t allocs_at_begin_ = 0;
-  std::uint64_t excused_ = 0;
   std::uint64_t checks_ = 0;
   std::uint64_t violations_ = 0;
 };

@@ -58,15 +58,15 @@ void Profiler::on_detach() {
 }
 
 void Profiler::begin_sampled(Time sim_now, int scope) {
-  // A callback that threw mid-sample leaves in_sample_ set; starting the
-  // next sample simply abandons the torn one.
-  in_sample_ = true;
   sample_sim_at_ = sim_now;
   sample_scope_ = scope;
   sample_begin_ns_ = host_now_ns();
 }
 
-void Profiler::end_dispatch() {
+void Profiler::end_event(const EventAllocs& allocs) {
+  ++alloc_events_;
+  dispatch_allocs_ += allocs.allocs;
+  dispatch_growth_allocs_ += allocs.excused;
   if (!in_sample_) return;
   in_sample_ = false;
   const std::int64_t end_ns = host_now_ns();
@@ -107,7 +107,8 @@ prof::AllocStats Profiler::alloc_delta() const {
   return total;
 }
 
-void Profiler::publish(MetricRegistry& registry, const std::string& prefix) const {
+void Profiler::publish(MetricRegistry& registry) const {
+  const std::string prefix = "prof.";
   registry.counter(prefix + "queue.posts").set(posts_);
   registry.counter(prefix + "queue.pops").set(pops_);
   registry.counter(prefix + "queue.requeues").set(requeues_);
@@ -157,8 +158,6 @@ void Profiler::reset() {
   slices_.clear();
   slices_dropped_ = 0;
   queue_growths_ = dispatch_allocs_ = dispatch_growth_allocs_ = alloc_events_ = 0;
-  event_allocs_at_begin_ = 0;
-  in_event_ = false;
   alloc_accum_ = prof::AllocStats{};
   epoch_ns_ = host_now_ns();
   if (was_attached) alloc_baseline_ = prof::alloc_stats();

@@ -32,11 +32,11 @@
 //                              pointers, configs, peer tables fixed at
 //                              build time); safe to read from any scope.
 //
-//  2. *Dynamic corroboration* — a ScopeAuditor attached to the Engine the
-//     same way the Tracer / InvariantMonitor / Profiler are (caller-owned
-//     pointer, one guarded branch when detached). The dispatch loop tells
-//     it the scope label of the event being dispatched; annotated state
-//     entry points call the FABSIM_AUDIT_OWNED / FABSIM_AUDIT_SHARED trap
+//  2. *Dynamic corroboration* — a ScopeAuditor attached to the Engine as
+//     an EngineObserver (src/sim/observer.hpp; one branch per event and
+//     per trap when nothing is attached). The dispatch loop tells it the
+//     scope label of the event being dispatched; annotated state entry
+//     points call the FABSIM_AUDIT_OWNED / FABSIM_AUDIT_SHARED trap
 //     macros, and an access whose owner does not match the dispatching
 //     event's claimed scope is reported as a FabricCheck violation
 //     (`sim.scope_confinement` / `sim.scope_shared_state` family rules).
@@ -53,6 +53,9 @@
 #include <vector>
 
 #include "check/invariant.hpp"
+#include "sim/hot.hpp"
+#include "sim/metrics.hpp"
+#include "sim/observer.hpp"
 #include "sim/time.hpp"
 
 // --- Static annotation markers (parsed by scripts/scope_check.py) ----------
@@ -74,41 +77,30 @@
 
 namespace fabsim::scope {
 
-/// Runtime scope auditor. Attach with Engine::set_scope_auditor(); the
-/// dispatch loop brackets every event with begin_event/end_event, and the
-/// FABSIM_AUDIT_* traps below consult current_scope(). Violations are
+/// Runtime scope auditor. Attach with Engine::attach(); the dispatch loop
+/// brackets every event with begin_event/end_event, and the FABSIM_AUDIT_*
+/// traps below land in owned_access/shared_access. Violations are
 /// funnelled through an InvariantMonitor when one is set (so counting-mode
 /// FABSIM_CHECK runs surface them as check.sim.scope_* counters and the
 /// assert_clean.py gate catches them); without a monitor the auditor is
 /// fatal and throws check::InvariantViolationError directly.
-class ScopeAuditor {
+class ScopeAuditor final : public EngineObserver {
  public:
   explicit ScopeAuditor(check::InvariantMonitor* monitor = nullptr) : monitor_(monitor) {}
 
-  void set_monitor(check::InvariantMonitor* monitor) { monitor_ = monitor; }
-
-  /// True while an event is being dispatched (traps are no-ops outside
-  /// dispatch: spawn()'s run-to-first-suspension happens in caller
-  /// context, where no scope label exists to check against).
-  bool active() const { return active_; }
-
-  /// Scope label of the currently-dispatching event (-1 = unconfined).
-  int current_scope() const { return current_scope_; }
-
-  // Engine dispatch hooks.
-  void begin_event(Time at, int event_scope) {
+  void begin_event(Time at, int event_scope) override {
     at_ = at;
     current_scope_ = event_scope;
     active_ = true;
   }
-  void end_event() {
+  void end_event(const EventAllocs& /*allocs*/) override {
     active_ = false;
     current_scope_ = -1;
   }
 
   /// Trap: state owned by `owner_node` is being touched. Legal from an
   /// event labelled with that node's scope or with -1 (no claim).
-  void owned_access(check::Layer layer, int owner_node, const char* what) {
+  void owned_access(check::Layer layer, int owner_node, const char* what) override {
     if (!active_) return;
     ++checks_;
     if (current_scope_ >= 0 && owner_node >= 0 && current_scope_ != owner_node) {
@@ -121,7 +113,7 @@ class ScopeAuditor {
   /// Trap: cross-node shared state is being touched. Legal only from an
   /// event labelled -1 — a confined label claims the event cannot reach
   /// shared state, which is exactly what DPOR reduction relies on.
-  void shared_access(check::Layer layer, int node, const char* what) {
+  void shared_access(check::Layer layer, int node, const char* what) override {
     if (!active_) return;
     ++checks_;
     if (current_scope_ >= 0) {
@@ -134,8 +126,15 @@ class ScopeAuditor {
   std::uint64_t checks() const { return checks_; }
   std::uint64_t violations() const { return violations_; }
 
+  /// scope.checks / scope.violations. A zero scope.checks with the
+  /// auditor on means the traps never ran — as suspicious as a violation.
+  void publish(MetricRegistry& registry) const override {
+    registry.counter("scope.checks").set(checks_);
+    registry.counter("scope.violations").set(violations_);
+  }
+
  private:
-  void violation(check::Layer layer, int node, const char* rule, std::string detail) {
+  FABSIM_COLD void violation(check::Layer layer, int node, const char* rule, std::string detail) {
     ++violations_;
     if (monitor_ != nullptr) {
       monitor_->report(at_, layer, node, rule, std::move(detail));
@@ -146,8 +145,10 @@ class ScopeAuditor {
   }
 
   check::InvariantMonitor* monitor_ = nullptr;
+  // Traps are no-ops outside dispatch: spawn()'s run-to-first-suspension
+  // happens in caller context, where no scope label exists to check.
   bool active_ = false;
-  int current_scope_ = -1;
+  int current_scope_ = -1;  ///< label of the dispatching event; -1 = unconfined
   Time at_ = 0;
   std::uint64_t checks_ = 0;
   std::uint64_t violations_ = 0;
@@ -158,19 +159,10 @@ class ScopeAuditor {
 // --- Dynamic access traps ---------------------------------------------------
 //
 // Placed at the entry points posted continuations funnel through (deliver,
-// pump, timeout handlers, switch admission, failover). One guarded branch
-// when no auditor is attached, like every other FabricCheck hook. `eng`
-// must be an Engine (lvalue); evaluated once per macro argument use.
-#define FABSIM_AUDIT_OWNED(eng, layer, owner_node, what)                            \
-  do {                                                                              \
-    if (::fabsim::scope::ScopeAuditor* fabsim_scope_auditor_ = (eng).scope_auditor()) { \
-      fabsim_scope_auditor_->owned_access((layer), (owner_node), (what));           \
-    }                                                                               \
-  } while (0)
+// pump, timeout handlers, switch admission, failover). One branch when no
+// observer is attached, like every other FabricCheck hook. `eng` must be
+// an Engine (lvalue).
+#define FABSIM_AUDIT_OWNED(eng, layer, owner_node, what) \
+  (eng).audit_owned((layer), (owner_node), (what))
 
-#define FABSIM_AUDIT_SHARED(eng, layer, node, what)                                 \
-  do {                                                                              \
-    if (::fabsim::scope::ScopeAuditor* fabsim_scope_auditor_ = (eng).scope_auditor()) { \
-      fabsim_scope_auditor_->shared_access((layer), (node), (what));                \
-    }                                                                               \
-  } while (0)
+#define FABSIM_AUDIT_SHARED(eng, layer, node, what) (eng).audit_shared((layer), (node), (what))

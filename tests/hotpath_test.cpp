@@ -94,67 +94,76 @@ TEST(InplaceFn, OversizeCallablesAreRejectedAtCompileTime) {
 
 // --- HotpathAuditor unit semantics ------------------------------------
 
+// One tracked allocation, as a posted callback.
+void tracked_alloc() {
+  std::vector<int, prof::CountingAllocator<int>> v;
+  v.resize(8);
+}
+
+/// Records what the Engine hands its observers per event.
+struct AllocSpy final : EngineObserver {
+  std::vector<EventAllocs> events;
+  void end_event(const EventAllocs& allocs) override { events.push_back(allocs); }
+};
+
 TEST(HotpathAuditor, TrapsTrackedAllocationInsideAnEventBracket) {
   check::InvariantMonitor monitor(/*fatal=*/false);
   hot::HotpathAuditor auditor(&monitor);
-  auditor.on_attach();
+  Engine engine;
+  engine.attach(auditor);
 
-  // Allocation outside any event bracket (setup code) is not audited.
-  {
-    std::vector<int, prof::CountingAllocator<int>> setup;
-    setup.resize(64);
-  }
+  // Allocation outside any event (setup code) is not audited.
+  tracked_alloc();
   EXPECT_EQ(auditor.violations(), 0u);
 
-  auditor.begin_event(us(1));
-  {
-    std::vector<int, prof::CountingAllocator<int>> inside;
-    inside.resize(64);
-  }
-  auditor.end_event();
+  engine.post(us(1), [] { tracked_alloc(); });
+  engine.run();
   EXPECT_EQ(auditor.checks(), 1u);
   EXPECT_EQ(auditor.violations(), 1u);
   EXPECT_EQ(monitor.violation_count(), 1u);
   EXPECT_EQ(monitor.violations().front().rule, "hot_alloc_budget");
-
-  auditor.on_detach();
 }
 
 TEST(HotpathAuditor, ExcusedGrowthStaysWithinBudget) {
   check::InvariantMonitor monitor(/*fatal=*/false);
   hot::HotpathAuditor auditor(&monitor);
-  auditor.on_attach();
+  AllocSpy spy;
+  Engine engine;
+  engine.attach(auditor);
+  engine.attach(spy);
 
-  auditor.begin_event(us(1));
-  {
-    std::vector<int, prof::CountingAllocator<int>> growth;
-    growth.reserve(16);  // exactly one tracked allocation
-    auditor.excuse_growth(1);
-  }
-  auditor.end_event();
-  EXPECT_EQ(auditor.checks(), 1u);
+  // One callback posts 1000 events: the queue grows mid-dispatch, and
+  // the Engine excuses exactly that growth.
+  engine.post(us(1), [&engine] {
+    for (int i = 0; i < 1000; ++i) engine.post(us(2), [] {});
+  });
+  engine.run();
+  ASSERT_EQ(spy.events.size(), 1001u);
+  EXPECT_GT(spy.events.front().allocs, 0u) << "the fan-out must have grown the queue";
+  EXPECT_EQ(spy.events.front().allocs, spy.events.front().excused);
+  EXPECT_EQ(auditor.checks(), 1001u);
   EXPECT_EQ(auditor.violations(), 0u) << "excused growth must not trip the budget";
 
-  auditor.on_detach();
+  // The budget arithmetic itself: only unexcused allocations count.
+  auditor.begin_event(us(3), -1);
+  auditor.end_event(EventAllocs{.allocs = 2, .excused = 1});
+  EXPECT_EQ(auditor.violations(), 1u);
 }
 
 TEST(HotpathAuditor, ThrowsWithoutMonitorAndIsInertWhenDetached) {
   hot::HotpathAuditor auditor;  // no monitor: violations are fatal
-  auditor.on_attach();
-  auditor.begin_event(us(1));
-  auto trip = [] {
-    std::vector<int, prof::CountingAllocator<int>> v;
-    v.resize(8);
-  };
-  trip();
-  EXPECT_THROW(auditor.end_event(), check::InvariantViolationError);
-  auditor.on_detach();
+  Engine engine;
+  engine.attach(auditor);
+  engine.post(us(1), [] { tracked_alloc(); });
+  EXPECT_THROW(engine.run(), check::InvariantViolationError);
+  engine.detach(auditor);
 
-  // Detached (seam disarmed): the same churn tallies nothing.
+  // Detached (seam disarmed, hooks no longer called): the same churn
+  // tallies nothing and checks nothing.
   EXPECT_FALSE(prof::alloc_tracking_enabled());
-  auditor.begin_event(us(2));
-  trip();
-  EXPECT_NO_THROW(auditor.end_event());
+  engine.post(us(2), [] { tracked_alloc(); });
+  EXPECT_NO_THROW(engine.run());
+  EXPECT_EQ(auditor.checks(), 1u);
 }
 
 // --- Engine integration ------------------------------------------------
@@ -170,10 +179,10 @@ struct ChainRun {
 // dispatch, so the amortized-growth excusal is exercised on the real
 // hot path, not just in the unit test above.
 ChainRun run_chain(bool attach_auditor, bool arm_mutation) {
-  Engine engine;
   check::InvariantMonitor monitor(/*fatal=*/false);
   hot::HotpathAuditor auditor(&monitor);
-  if (attach_auditor) engine.set_hotpath_auditor(&auditor);
+  Engine engine;
+  if (attach_auditor) engine.attach(auditor);
   engine.set_mutation_hotalloc(arm_mutation);
 
   struct Chain {
@@ -220,9 +229,9 @@ TEST(HotpathAuditor, CatchesArmedHotallocMutation) {
 // The acceptance number for ROADMAP item 1: steady-state dispatch is
 // zero-allocation as measured by the profiler's per-event tally.
 TEST(HotpathProfiler, AllocsPerEventIsZeroInSteadyState) {
-  Engine engine;
   Profiler profiler;
-  engine.set_profiler(&profiler);
+  Engine engine;
+  engine.attach(profiler);
   int ran = 0;
   for (int i = 0; i < 10'000; ++i) {
     engine.post(us(static_cast<double>(i)), [&ran] { ++ran; });
@@ -236,9 +245,9 @@ TEST(HotpathProfiler, AllocsPerEventIsZeroInSteadyState) {
 }
 
 TEST(HotpathProfiler, GrowthDuringDispatchIsAttributedNotCharged) {
-  Engine engine;
   Profiler profiler;
-  engine.set_profiler(&profiler);
+  Engine engine;
+  engine.attach(profiler);
   // Posting from inside callbacks grows the queue mid-dispatch; the
   // growth is visible in the tally but excluded from allocs_per_event.
   struct Chain {

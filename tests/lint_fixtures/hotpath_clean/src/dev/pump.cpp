@@ -10,8 +10,15 @@ FABSIM_COLD void Pump::rebuild() {
   table_ = new int[16];
 }
 
+void Registry::dump() {
+  for (int v : snapshot()) {
+    std::printf("%d\n", v);
+  }
+}
+
 void Engine::dispatch(int ev) {
   pump_.step(ev);
+  pump_.buffer().snapshot(ev);
   if (ev == 0) {
     pump_.rebuild();
   }

@@ -8,6 +8,7 @@ void Engine::dispatch(int ev) {
   std::function<void(int)> cb;                  // -> hot_stdfunction
   auto t0 = std::chrono::steady_clock::now();   // -> hot_wallclock
   std::cout << ev;                              // -> hot_io
+  for (EngineObserver* observer : observers_) observer->end_event(ev);  // virtual seam
   FABSIM_MUTATION_HOTALLOC(armed_);             // dormant; -> mutation_hotalloc under --mutation
   queue_.post(1.0, [this] { buf_ = new char[8]; });  // -> hot_alloc in the lambda
   if (ev < 0) throw ev;                         // -> hot_throw
@@ -28,5 +29,7 @@ void Nic::fail(Conn& conn) { conn.peer->peer_failed(conn.peer_id); }  // peer: a
 void Nic::peer_failed(int id) { throw id; }  // -> hot_throw, reached only through Conn::peer
 
 void Rnic::transmit(int ev) { buf_ = new char[ev]; }  // -> hot_alloc in the override
+
+void Spy::end_event(int ev) { buf_ = new char[ev]; }  // -> hot_alloc, reached only through EngineObserver
 
 }  // namespace fixdev

@@ -4,9 +4,24 @@
 // dormant mutation seam for the --mutation polarity case); the
 // self-test asserts every tag fires. Nic/Rnic check that the walk
 // follows calls into a base class and into a derived override; Conn
-// checks that it types `conn.peer->` through a member of a local's type.
+// checks that it types `conn.peer->` through a member of a local's type;
+// Spy checks that a call through an EngineObserver reaches every override.
 
 namespace fixdev {
+
+class EngineObserver {
+ public:
+  virtual ~EngineObserver() = default;
+  virtual void end_event(int /*ev*/) {}
+};
+
+class Spy final : public EngineObserver {
+ public:
+  void end_event(int ev) override;
+
+ private:
+  char* buf_ = nullptr;
+};
 
 class Engine {
  public:
@@ -16,6 +31,7 @@ class Engine {
   char* buf_ = nullptr;
   int ctr_ = 0;
   bool armed_ = true;
+  EngineObserver* observers_[2] = {};
 };
 
 class Nic;

@@ -88,6 +88,8 @@ check("hotpath: clean tree passes", clean.returncode == 0)
 check("hotpath: clean tree saw the waiver", "1 waived" in clean.stdout)
 check("hotpath: clean tree stopped at the cold function",
       "1 cold stops" in clean.stdout)
+check("hotpath: a call closing a for-range header is not a definition",
+      "[hot_io]" not in clean.stderr)
 
 dirty = run("hotpath_check.py", "--root",
             os.path.join(FIXTURES, "hotpath_dirty"), "--out", "-")
@@ -103,6 +105,8 @@ check("hotpath: dirty tree walked into a derived override",
       "Rnic::transmit:" in dirty.stderr)
 check("hotpath: dirty tree typed a receiver through a member of a local's struct",
       "Nic::peer_failed:" in dirty.stderr)
+check("hotpath: dirty tree walked into an EngineObserver override",
+      "Spy::end_event:" in dirty.stderr)
 check("hotpath: dormant mutation seam is NOT flagged",
       "mutation_hotalloc" not in dirty.stderr)
 armed = run("hotpath_check.py", "--root",

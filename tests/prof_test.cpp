@@ -11,16 +11,23 @@
 //     laws (pops == posts + requeues when the queue drains);
 //   * the counting-allocator seam tallies only while tracking is on and
 //     only since attach;
+//   * as one EngineObserver among several (with the scope and hot-path
+//     auditors, in either attach order) it counts what it counts alone,
+//     and a detached observer is no longer called;
 //   * the Chrome-trace host lanes round-trip through minijson.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "check/invariant.hpp"
 #include "core/cluster.hpp"
 #include "sim/engine.hpp"
+#include "sim/hot.hpp"
 #include "sim/json.hpp"
 #include "sim/metrics.hpp"
 #include "sim/prof.hpp"
+#include "sim/scope.hpp"
 #include "sim/sync.hpp"
 #include "sim/trace_export.hpp"
 
@@ -34,15 +41,18 @@ struct Fingerprint {
 };
 
 /// A mixed workload: raw posts, a sleep chain, and a mailbox ping-pong —
-/// enough co-enabled events and coroutine churn to make any profiler
-/// perturbation show up in the digest.
-Fingerprint run_workload(Profiler* profiler) {
+/// enough co-enabled events and coroutine churn to make any observer's
+/// perturbation show up in the digest. Each raw post touches state of
+/// the node its scope names, through a scope trap.
+Fingerprint run_workload(const std::vector<EngineObserver*>& observers) {
   Engine engine;
-  if (profiler != nullptr) engine.set_profiler(profiler);
+  for (EngineObserver* observer : observers) engine.attach(*observer);
   std::uint64_t sink = 0;
   for (int i = 0; i < 500; ++i) {
-    engine.post(us(static_cast<double>(i % 50)), /*scope=*/i % 4,
-                [&sink, i] { sink += static_cast<std::uint64_t>(i); });
+    engine.post(us(static_cast<double>(i % 50)), /*scope=*/i % 4, [&engine, &sink, i] {
+      FABSIM_AUDIT_OWNED(engine, check::Layer::kSim, i % 4, "sink");
+      sink += static_cast<std::uint64_t>(i);
+    });
   }
   engine.spawn([](Engine& e) -> Task<> {
     for (int i = 0; i < 200; ++i) co_await e.sleep(ns(100));
@@ -64,6 +74,20 @@ Fingerprint run_workload(Profiler* profiler) {
   return {engine.now(), engine.run_digest(), engine.events_processed()};
 }
 
+Fingerprint run_workload(Profiler* profiler) {
+  std::vector<EngineObserver*> observers;
+  if (profiler != nullptr) observers.push_back(profiler);
+  return run_workload(observers);
+}
+
+/// Every simulated-time counter a Profiler keeps (host times excluded).
+std::vector<std::uint64_t> sim_counters(const Profiler& p) {
+  return {p.posts(),          p.pops(),           p.requeues(),
+          p.peak_depth(),     p.heapify_cost(),   p.sampled_dispatches(),
+          p.events_dispatched(), p.queue_growths(), p.dispatch_allocs(),
+          p.dispatch_growth_allocs(), p.alloc_events(), p.alloc_delta().allocs};
+}
+
 TEST(Prof, DetachedAndAttachedRunsAreByteIdentical) {
   const Fingerprint detached = run_workload(nullptr);
   Profiler profiler;
@@ -82,6 +106,71 @@ TEST(Prof, SamplingStrideNeverPerturbsSimulatedResults) {
     EXPECT_EQ(baseline.digest, fp.digest) << "stride " << stride;
     EXPECT_EQ(baseline.finished, fp.finished) << "stride " << stride;
   }
+}
+
+// The Profiler, the ScopeAuditor and the HotpathAuditor on one engine,
+// in both attach orders: the digest matches an unobserved run and each
+// observer counts exactly what it counts alone.
+TEST(Prof, CombinedObserversMatchTheirSoloRuns) {
+  const Fingerprint plain = run_workload(nullptr);
+  Profiler solo_profiler(Profiler::Config{.sample_stride = 1});
+  run_workload(&solo_profiler);
+  scope::ScopeAuditor solo_scope;
+  run_workload({&solo_scope});
+  hot::HotpathAuditor solo_hot;
+  run_workload({&solo_hot});
+  ASSERT_GT(solo_scope.checks(), 0u);
+  ASSERT_EQ(solo_hot.checks(), plain.events);
+
+  for (const bool profiler_first : {true, false}) {
+    Profiler profiler(Profiler::Config{.sample_stride = 1});
+    scope::ScopeAuditor scope_auditor;
+    hot::HotpathAuditor hot_auditor;
+    std::vector<EngineObserver*> order{&profiler, &scope_auditor, &hot_auditor};
+    if (!profiler_first) std::ranges::reverse(order);
+    const Fingerprint fp = run_workload(order);
+    EXPECT_EQ(fp.digest, plain.digest) << "profiler_first " << profiler_first;
+    EXPECT_EQ(fp.finished, plain.finished);
+    EXPECT_EQ(fp.events, plain.events);
+    EXPECT_EQ(sim_counters(profiler), sim_counters(solo_profiler));
+    EXPECT_EQ(scope_auditor.checks(), solo_scope.checks());
+    EXPECT_EQ(scope_auditor.violations(), 0u);
+    EXPECT_EQ(hot_auditor.checks(), solo_hot.checks());
+    EXPECT_EQ(hot_auditor.violations(), 0u);
+  }
+}
+
+TEST(Prof, DetachedObserversAreNoLongerCalled) {
+  Profiler profiler;
+  scope::ScopeAuditor scope_auditor;
+  hot::HotpathAuditor hot_auditor;
+  Engine engine;
+  const std::vector<EngineObserver*> all{&profiler, &scope_auditor, &hot_auditor};
+  for (EngineObserver* observer : all) engine.attach(*observer);
+  auto post_ten = [&engine] {
+    for (int i = 0; i < 10; ++i) {
+      engine.post(engine.now() + us(1), /*scope=*/i % 2, [&engine, i] {
+        FABSIM_AUDIT_OWNED(engine, check::Layer::kSim, i % 2, "detach test");
+      });
+    }
+  };
+  post_ten();
+  engine.run();
+  EXPECT_EQ(profiler.posts(), 10u);
+  EXPECT_EQ(scope_auditor.checks(), 10u);
+  EXPECT_EQ(hot_auditor.checks(), 10u);
+
+  for (EngineObserver* observer : all) engine.detach(*observer);
+  EXPECT_TRUE(engine.observers().empty());
+  EXPECT_FALSE(prof::alloc_tracking_enabled());
+  post_ten();
+  engine.run();
+  EXPECT_EQ(engine.events_processed(), 20u);
+  EXPECT_EQ(profiler.posts(), 10u);
+  EXPECT_EQ(profiler.pops(), 10u);
+  EXPECT_EQ(profiler.events_dispatched(), 10u);
+  EXPECT_EQ(scope_auditor.checks(), 10u);
+  EXPECT_EQ(hot_auditor.checks(), 10u);
 }
 
 TEST(Prof, CountersPopulateAndConserve) {
@@ -134,7 +223,7 @@ TEST(Prof, PublishExportsProfTaxonomy) {
 TEST(Prof, PeakDepthMatchesKnownBacklog) {
   Profiler profiler;
   Engine engine;
-  engine.set_profiler(&profiler);
+  engine.attach(profiler);
   for (int i = 0; i < 100; ++i) engine.post(us(static_cast<double>(i + 1)), [] {});
   EXPECT_EQ(profiler.peak_depth(), 100u);
   engine.run();
@@ -157,7 +246,7 @@ TEST(Prof, PolicyRequeuesAreAccounted) {
   Profiler profiler;
   InsertionOrderPolicy policy;
   Engine engine;
-  engine.set_profiler(&profiler);
+  engine.attach(profiler);
   engine.set_schedule_policy(&policy);
   int ran = 0;
   for (int i = 0; i < 4; ++i) engine.post(us(1), /*scope=*/i, [&ran] { ++ran; });
@@ -199,7 +288,7 @@ TEST(Prof, AllocDeltaCountsOnlyTheAttachWindows) {
   Profiler profiler;
   {
     Engine engine;
-    engine.set_profiler(&profiler);
+    engine.attach(profiler);
     for (int i = 0; i < 1000; ++i) engine.post(us(static_cast<double>(i)), [] {});
     engine.run();
   }  // engine death detaches; the window's tally is folded and kept
@@ -211,11 +300,26 @@ TEST(Prof, AllocDeltaCountsOnlyTheAttachWindows) {
   // A second attach window accumulates on top instead of rebaselining.
   {
     Engine engine;
-    engine.set_profiler(&profiler);
+    engine.attach(profiler);
     for (int i = 0; i < 1000; ++i) engine.post(us(static_cast<double>(i)), [] {});
     engine.run();
   }
   EXPECT_GE(profiler.alloc_delta().allocs, delta.allocs);
+
+  // Engine death detaches every observer: with all three attached (two
+  // of them holding a tracking reference) the seam still ends disarmed.
+  {
+    scope::ScopeAuditor scope_auditor;
+    hot::HotpathAuditor hot_auditor;
+    Engine engine;
+    engine.attach(profiler);
+    engine.attach(scope_auditor);
+    engine.attach(hot_auditor);
+    ASSERT_TRUE(prof::alloc_tracking_enabled());
+    for (int i = 0; i < 1000; ++i) engine.post(us(static_cast<double>(i)), [] {});
+    engine.run();
+  }
+  EXPECT_FALSE(prof::alloc_tracking_enabled()) << "engine death must disarm the seam";
 }
 
 TEST(Prof, ChromeTraceHostLanesRoundTripThroughMinijson) {
@@ -225,7 +329,7 @@ TEST(Prof, ChromeTraceHostLanesRoundTripThroughMinijson) {
   Engine engine;
   engine.set_tracer(&tracer);
   engine.set_metrics(&registry);
-  engine.set_profiler(&profiler);
+  engine.attach(profiler);
   for (int i = 0; i < 10; ++i) {
     engine.post(us(static_cast<double>(i)), /*scope=*/i % 2, [&engine, i] {
       engine.trace(TraceCategory::kHost, i % 2, "evt" + std::to_string(i));
@@ -262,8 +366,8 @@ TEST(Prof, ChromeTraceHostLanesRoundTripThroughMinijson) {
 }
 
 TEST(Prof, ClusterAttachPublishesProfIntoCollectedMetrics) {
+  Profiler profiler;  // outlives the cluster, whose engine detaches it
   core::Cluster cluster(2, core::Network::kIwarp);
-  Profiler profiler;
   cluster.attach_profiler(profiler);
   cluster.engine().spawn([](Engine& e) -> Task<> {
     for (int i = 0; i < 50; ++i) co_await e.sleep(us(1));

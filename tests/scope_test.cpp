@@ -32,7 +32,7 @@ TEST(ScopeAuditor, ConfinedEventMayOnlyTouchItsOwnNode) {
   EXPECT_EQ(auditor.violations(), 0u);
   auditor.owned_access(check::Layer::kHw, /*owner_node=*/3, "foreign node");
   EXPECT_EQ(auditor.violations(), 1u);
-  auditor.end_event();
+  auditor.end_event({});
 
   EXPECT_EQ(monitor.violation_count(), 1u);
   EXPECT_GE(auditor.checks(), 2u);
@@ -47,13 +47,13 @@ TEST(ScopeAuditor, SharedStateRequiresUnconfinedScope) {
   auditor.shared_access(check::Layer::kHw, /*node=*/0, "fabric graph");
   auditor.owned_access(check::Layer::kHw, /*owner_node=*/5, "any node");
   EXPECT_EQ(auditor.violations(), 0u);
-  auditor.end_event();
+  auditor.end_event({});
 
   // ...confined events may not.
   auditor.begin_event(us(2), /*event_scope=*/4);
   auditor.shared_access(check::Layer::kHw, /*node=*/4, "fabric graph");
   EXPECT_EQ(auditor.violations(), 1u);
-  auditor.end_event();
+  auditor.end_event({});
 }
 
 TEST(ScopeAuditor, InactiveOutsideDispatchAndThrowsWithoutMonitor) {
@@ -67,7 +67,7 @@ TEST(ScopeAuditor, InactiveOutsideDispatchAndThrowsWithoutMonitor) {
   auditor.begin_event(us(1), /*event_scope=*/1);
   EXPECT_THROW(auditor.owned_access(check::Layer::kHw, /*owner_node=*/2, "foreign"),
                check::InvariantViolationError);
-  auditor.end_event();
+  auditor.end_event({});
 }
 
 // --- Whole-stack runs -------------------------------------------------
@@ -84,10 +84,11 @@ struct WriteRun {
 // names. With `attach_auditor` the caller-owned ScopeAuditor (counting
 // monitor) rides along on every dispatched event.
 WriteRun run_writes(const core::NetworkProfile& profile, int nodes, bool attach_auditor) {
-  core::Cluster cluster(nodes, profile);
+  // The auditor outlives the cluster: the engine detaches it on death.
   check::InvariantMonitor monitor(/*fatal=*/false);
   scope::ScopeAuditor auditor(&monitor);
-  if (attach_auditor) cluster.attach_scope_auditor(auditor);
+  core::Cluster cluster(nodes, profile);
+  if (attach_auditor) cluster.engine().attach(auditor);
 
   const int dst_node = nodes - 1;
   const std::uint32_t len = 8 * 1024;
